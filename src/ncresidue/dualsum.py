@@ -16,8 +16,10 @@ Channel modes:
 
 Scalar symbols evaluate in bulk through their radial profile; diagonal
 symbols through their diagonal vectors (entrywise absolute values and sign
-splits, no eigensolver); dense symbols go through the Hermitian
-eigendecompositions of Re sigma and Im sigma, one pair per class.
+splits, no eigensolver); dense symbols go through the spectra of Re sigma
+and Im sigma (``four``) or the trace norm of sigma (``abs``), with one
+LAPACK call per class dimension in each chunk.  A chunk whose channel sum is
+not finite raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from concurrent.futures import ThreadPoolExecutor
 import numpy as np
 
 from . import matcalc
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .symbols import MatrixSymbol
 
 _MODE_CHANNELS = {"abs": 1, "signed": 1, "four": 4, "zeta": 1}
@@ -93,41 +95,48 @@ def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray
 def _dense_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
     nch = channel_count(mode)
     vals = np.zeros((len(chunk), nch), dtype=channel_dtype(mode))
-    for i, el in enumerate(chunk.elements()):
-        mat = sym.evaluate(el)
-        d = float(el.dim)
-        if mode == "signed":
+    mats = [sym.evaluate(el) for el in chunk.elements()]
+    if mode in ("signed", "zeta"):
+        for i, (mat, d, w) in enumerate(zip(mats, chunk.dims, chunk.weights)):
             vals[i, 0] = d * np.trace(mat)
-        elif mode == "zeta":
-            vals[i, 0] = d * np.trace(mat) * el.weight ** (-s)
-        elif mode == "abs":
-            # Tr|sigma| is defined through the spectral absolute value, which
-            # requires Hermitian values on the dense path.
-            eig = matcalc.hermitian_eigenvalues(mat)
-            pos, neg = matcalc.split_eigenvalues(eig, matcalc.frobenius(mat))
-            vals[i, 0] = d * np.sum(pos + neg)
-        else:
-            re = matcalc.real_part(mat)
-            im = matcalc.imag_part(mat)
-            pr, nr = matcalc.split_eigenvalues(
-                matcalc.hermitian_eigenvalues(re), matcalc.frobenius(re)
-            )
-            pi, ni = matcalc.split_eigenvalues(
-                matcalc.hermitian_eigenvalues(im), matcalc.frobenius(im)
-            )
-            vals[i, 0] = d * np.sum(pr)
-            vals[i, 1] = d * np.sum(nr)
-            vals[i, 2] = d * np.sum(pi)
-            vals[i, 3] = d * np.sum(ni)
+            if mode == "zeta":
+                vals[i, 0] *= w ** (-s)
+        return vals.sum(axis=0)
+    # One spectral call per class dimension; rows are scattered back so the
+    # chunk sum keeps the canonical class order.
+    order = np.argsort(chunk.dims, kind="stable")
+    for idx in np.split(order, np.flatnonzero(np.diff(chunk.dims[order])) + 1):
+        d = chunk.dims[idx[0]]
+        stack = np.stack([mats[i] for i in idx])
+        if mode == "abs":
+            vals[idx, 0] = d * matcalc.trace_norm(stack)
+            continue
+        # Re sigma and Im sigma of the whole group in one eigensolve; for
+        # Hermitian H, ||H||_F is the 2-norm of its spectrum.
+        herm = np.concatenate((matcalc.real_part(stack), matcalc.imag_part(stack)))
+        eig = matcalc.hermitian_eigenvalues(herm)
+        pos, neg = matcalc.split_eigenvalues(eig, np.linalg.norm(eig, axis=-1, keepdims=True))
+        m = len(idx)
+        vals[idx, 0] = d * np.sum(pos[:m], axis=-1)
+        vals[idx, 1] = d * np.sum(neg[:m], axis=-1)
+        vals[idx, 2] = d * np.sum(pos[m:], axis=-1)
+        vals[idx, 3] = d * np.sum(neg[m:], axis=-1)
     return vals.sum(axis=0)
 
 
 def _chunk_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
     if sym.radial_fn is not None:
-        return _radial_terms(sym, chunk, mode, s).astype(channel_dtype(mode))
-    if sym.diag_fn is not None:
-        return _diagonal_terms(sym, chunk, mode, s)
-    return _dense_terms(sym, chunk, mode, s)
+        part = _radial_terms(sym, chunk, mode, s).astype(channel_dtype(mode))
+    elif sym.diag_fn is not None:
+        part = _diagonal_terms(sym, chunk, mode, s)
+    else:
+        part = _dense_terms(sym, chunk, mode, s)
+    if not np.all(np.isfinite(part)):
+        raise NumericalFailureError(
+            f"non-finite {mode} sum over the classes of weight "
+            f"{chunk.weights[0]:g}..{chunk.weights[-1]:g}"
+        )
+    return part
 
 
 class _Kahan:

@@ -6,7 +6,7 @@ class InvalidArgumentError(ValueError):
 
 
 class NumericalFailureError(RuntimeError):
-    """An iterative numerical routine failed to converge."""
+    """A numerical routine failed: LAPACK did not converge, or a sum is not finite."""
 
 
 class BudgetExceededError(RuntimeError):

@@ -1,41 +1,45 @@
-"""Dense complex matrix algebra with a self-contained Hermitian eigensolver.
+"""Dense complex matrix algebra on top of LAPACK.
 
-The eigensolver is a cyclic complex Jacobi iteration: each off-diagonal
-entry h_pq is annihilated by a plane rotation composed of a phase transform
-(which makes the 2x2 pivot block real symmetric) and a classical real Jacobi
-rotation.  Iteration stops once the off-diagonal Frobenius mass drops below
-1e-13 * (1 + ||H||_F).  This is accurate and simple for the small-to-moderate
-dimensions arising from dual classes.
+Hermitian eigenproblems go to ``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK
+``zheevd``).  ``hermitian_eigenvalues`` takes a ``(..., d, d)`` stack and
+validates it once -- square, finite, and Hermitian within
+HERMITIAN_TOLERANCE * (1 + ||A||_F) per matrix -- before one LAPACK call, so
+callers can batch every matrix of one dimension.  A LAPACK convergence
+failure surfaces as NumericalFailureError.
 
 On top of the eigensolver sit the decompositions used throughout:
 Re(T) = (T + T*)/2, Im(T) = (T - T*)/(2i), and for Hermitian H the spectral
 parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  Eigenvalues with modulus at most
 1e-12 * ||H||_F count as zero when splitting, so spectral mass at the origin
 lands in neither signed part (but also not in |H|, keeping H+ + H- = |H|).
+The trace norm Tr|T| of a general square T is the sum of its singular
+values, with the same zero threshold.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
 
-OFF_DIAGONAL_FACTOR = 1e-13
 HERMITIAN_TOLERANCE = 1e-10
 ZERO_EIGENVALUE_FACTOR = 1e-12
-MAX_SWEEPS = 100
 
 
 def frobenius(a) -> float:
     return float(np.linalg.norm(np.asarray(a)))
 
 
+def _adjoint(a: np.ndarray) -> np.ndarray:
+    return a.conj().swapaxes(-1, -2)
+
+
 def _as_square(t) -> np.ndarray:
+    """A finite complex array of shape (..., d, d)."""
     a = np.asarray(t, dtype=np.complex128)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a.view(np.float64))):
         raise InvalidArgumentError("matrix entries must be finite")
@@ -43,14 +47,26 @@ def _as_square(t) -> np.ndarray:
 
 
 def check_hermitian(h) -> np.ndarray:
-    """Validate Hermitian-ness up to rounding; returns the symmetrized input."""
+    """Validate Hermitian-ness up to rounding, per matrix of a (..., d, d) stack.
+
+    Returns the symmetrized input.
+    """
     a = _as_square(h)
-    defect = frobenius(a - a.conj().T)
-    if defect > HERMITIAN_TOLERANCE * (1.0 + frobenius(a)):
+    adj = _adjoint(a)
+    defect = np.linalg.norm(a - adj, axis=(-2, -1))
+    bound = HERMITIAN_TOLERANCE * (1.0 + np.linalg.norm(a, axis=(-2, -1)))
+    if np.any(defect > bound):
         raise InvalidArgumentError(
-            f"matrix is not Hermitian: defect {defect:.3e} exceeds tolerance"
+            f"matrix is not Hermitian: defect {float(np.max(defect)):.3e} exceeds tolerance"
         )
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + adj)
+
+
+def _lapack(fn, a: np.ndarray, **kwargs):
+    try:
+        return fn(a, **kwargs)
+    except np.linalg.LinAlgError as exc:
+        raise NumericalFailureError(f"LAPACK {fn.__name__} failed: {exc}") from exc
 
 
 @dataclass(frozen=True, eq=False)
@@ -61,98 +77,52 @@ class HermEig:
     vectors: np.ndarray
 
 
-def _off_mass(a: np.ndarray) -> float:
-    off = a - np.diag(np.diag(a))
-    return float(np.linalg.norm(off))
-
-
-def _jacobi(a: np.ndarray, want_vectors: bool, max_sweeps: int):
-    d = a.shape[0]
-    target = OFF_DIAGONAL_FACTOR * (1.0 + frobenius(a))
-    skip = target / (2.0 * d)
-    v = np.eye(d, dtype=np.complex128) if want_vectors else None
-    for _ in range(max_sweeps):
-        if _off_mass(a) <= target:
-            return a, v
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                apq = a[p, q]
-                m = abs(apq)
-                if m <= skip:
-                    continue
-                theta = math.atan2(apq.imag, apq.real)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * m)
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + math.hypot(1.0, tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                phase = complex(math.cos(theta), -math.sin(theta))  # e^{-i theta}
-                cp = a[:, p].copy()
-                cq = a[:, q].copy()
-                a[:, p] = c * cp - s * phase * cq
-                a[:, q] = s * cp + c * phase * cq
-                rp = a[p, :].copy()
-                rq = a[q, :].copy()
-                conj_phase = phase.conjugate()
-                a[p, :] = c * rp - s * conj_phase * rq
-                a[q, :] = s * rp + c * conj_phase * rq
-                a[p, q] = 0.0
-                a[q, p] = 0.0
-                if v is not None:
-                    vp = v[:, p].copy()
-                    vq = v[:, q].copy()
-                    v[:, p] = c * vp - s * phase * vq
-                    v[:, q] = s * vp + c * phase * vq
-    if _off_mass(a) <= target:
-        return a, v
-    raise NumericalFailureError(
-        f"Jacobi iteration did not converge within {max_sweeps} sweeps"
-    )
-
-
-def hermitian_eig(h, want_vectors: bool = True, max_sweeps: int = MAX_SWEEPS) -> HermEig:
+def hermitian_eig(h) -> HermEig:
     """Full spectral decomposition of a Hermitian matrix.
 
     Raises InvalidArgumentError for non-Hermitian input and
-    NumericalFailureError if the sweep budget is exhausted.
+    NumericalFailureError if LAPACK does not converge.
     """
-    a = check_hermitian(h)
-    d = a.shape[0]
-    if d == 1:
-        vecs = np.eye(1, dtype=np.complex128) if want_vectors else None
-        return HermEig(np.array([a[0, 0].real]), vecs)
-    a, v = _jacobi(a, want_vectors, max_sweeps)
-    vals = np.diag(a).real.copy()
-    order = np.argsort(vals, kind="stable")
-    vals = vals[order]
-    vecs = v[:, order] if want_vectors else None
+    vals, vecs = _lapack(np.linalg.eigh, check_hermitian(h))
     return HermEig(vals, vecs)
 
 
-def hermitian_eigenvalues(h, max_sweeps: int = MAX_SWEEPS) -> np.ndarray:
-    """Eigenvalues only; skips eigenvector accumulation."""
-    return hermitian_eig(h, want_vectors=False, max_sweeps=max_sweeps).eigenvalues
+def hermitian_eigenvalues(h) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (..., d, d) Hermitian stack."""
+    return _lapack(np.linalg.eigvalsh, check_hermitian(h))
+
+
+def trace_norm(t) -> np.ndarray:
+    """Tr|T| of each matrix of a (..., d, d) stack: the sum of its singular values.
+
+    Singular values at most ZERO_EIGENVALUE_FACTOR * ||T||_F count as zero,
+    as in ``split_eigenvalues``; for Hermitian T this is the sum of |eigenvalues|.
+    """
+    sv = _lapack(np.linalg.svd, _as_square(t), compute_uv=False)
+    # ||T||_F is the 2-norm of the singular values.
+    kept, _ = split_eigenvalues(sv, np.linalg.norm(sv, axis=-1, keepdims=True))
+    return np.sum(kept, axis=-1)
 
 
 def real_part(t) -> np.ndarray:
-    """(T + T*)/2; Hermitian for any square T."""
+    """(T + T*)/2; Hermitian for any square T (or stack of them)."""
     a = _as_square(t)
-    return 0.5 * (a + a.conj().T)
+    return 0.5 * (a + _adjoint(a))
 
 
 def imag_part(t) -> np.ndarray:
     """(T - T*)/(2i); Hermitian, and T = real_part(T) + 1j*imag_part(T)."""
     a = _as_square(t)
-    return -0.5j * (a - a.conj().T)
+    return -0.5j * (a - _adjoint(a))
 
 
-def split_eigenvalues(vals: np.ndarray, scale: float):
+def split_eigenvalues(vals: np.ndarray, scale):
     """Split a spectrum into positive and negated-negative parts.
 
     Entries within ZERO_EIGENVALUE_FACTOR * scale of the origin are dropped
-    from both parts.
+    from both parts; ``scale`` broadcasts against ``vals``.
     """
-    thr = ZERO_EIGENVALUE_FACTOR * scale
+    thr = ZERO_EIGENVALUE_FACTOR * np.asarray(scale)
     pos = np.where(vals > thr, vals, 0.0)
     neg = np.where(vals < -thr, -vals, 0.0)
     return pos, neg

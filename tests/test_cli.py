@@ -123,6 +123,18 @@ def test_numerical_failure_exits_one(tmp_path):
     assert any("numerical failure" in f for f in report["flags"])
 
 
+def test_overflowing_sum_exits_one(tmp_path):
+    payload = json.loads(json.dumps(SU2_WEAKL1))
+    payload["symbol"]["alpha"] = 400.0
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    code = cli.main(["weakl1", "--config", cfg, "--out", out, "--threads", "1"])
+    assert code == 1
+    report = json.loads(open(out).read())
+    assert report["value"] is None
+    assert any("non-finite" in f for f in report["flags"])
+
+
 def test_zeta_task(tmp_path):
     payload = {
         "group": {"kind": "su2"},

@@ -28,7 +28,7 @@ def test_swap_matrix():
 def _charpoly_roots_by_bisection(h, tol=1e-11):
     """Roots of det(H - t I) located by sign changes and bisection.
 
-    Independent of the Jacobi iteration: uses LU determinants only.
+    Independent of the LAPACK eigensolver: uses LU determinants only.
     """
     d = h.shape[0]
     radii = np.sum(np.abs(h), axis=1) - np.abs(np.diag(h))
@@ -121,10 +121,51 @@ def test_non_finite_rejected():
         matcalc.real_part(np.array([[np.inf, 0.0], [0.0, 0.0]]))
 
 
-def test_sweep_budget_exhaustion_signalled():
-    h = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-    with pytest.raises(NumericalFailureError):
-        matcalc.hermitian_eig(h, max_sweeps=0)
+def test_stack_matches_single_matrix_calls():
+    rng = np.random.default_rng(17)
+    stack = np.stack([random_hermitian(rng, 5) for _ in range(6)])
+    vals = matcalc.hermitian_eigenvalues(stack)
+    assert vals.shape == (6, 5)
+    for h, v in zip(stack, vals):
+        assert np.array_equal(v, matcalc.hermitian_eigenvalues(h))
+
+
+def test_stack_hermitian_tolerance_is_per_matrix():
+    # the defect of the small matrix is far below the large one's tolerance
+    big = 1e6 * np.eye(2, dtype=complex)
+    small = np.array([[0.0, 1e-3], [0.0, 0.0]], dtype=complex)
+    with pytest.raises(InvalidArgumentError, match="not Hermitian"):
+        matcalc.hermitian_eigenvalues(np.stack([big, small]))
+
+
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        ("eigvalsh", matcalc.hermitian_eigenvalues),
+        ("eigh", matcalc.hermitian_eig),
+        ("svd", matcalc.trace_norm),
+    ],
+)
+def test_lapack_failure_is_numerical_failure(monkeypatch, name, call):
+    def fail(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    monkeypatch.setattr(np.linalg, name, fail)
+    with pytest.raises(NumericalFailureError, match="no convergence"):
+        call(np.eye(3, dtype=complex))
+
+
+def test_trace_norm_examples():
+    nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
+    stack = np.stack([nilpotent, 1j * np.eye(2), np.diag([2.0, -3.0]).astype(complex)])
+    assert np.allclose(matcalc.trace_norm(stack), [1.0, 2.0, 5.0], rtol=1e-14)
+
+
+@given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12))
+def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum(seed, d):
+    h = random_hermitian(np.random.default_rng(seed), d)
+    expect = np.sum(np.abs(matcalc.hermitian_eigenvalues(h)))
+    assert abs(matcalc.trace_norm(h) - expect) <= 1e-12 * (1.0 + expect)
 
 
 def test_unitary_invariance_of_spectrum():
