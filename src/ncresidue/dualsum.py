@@ -5,7 +5,10 @@ schedule splits the dual into annuli; each annulus is covered by canonically
 ordered chunks.  Chunk contributions are pairwise-summed by numpy and then
 combined with Kahan compensation in chunk order, so results are
 bit-reproducible and independent of the worker count (chunk boundaries are
-fixed by the cutoffs alone).
+fixed by the cutoffs alone).  Dense classes are evaluated and solved with
+numpy's bundled OpenBLAS on one thread (``matcalc.one_blas_thread``), so
+they are also independent of OPENBLAS_NUM_THREADS; with another BLAS build
+large dense classes may depend on its thread count.
 
 Channel modes:
 
@@ -17,9 +20,9 @@ Channel modes:
 Scalar symbols evaluate in bulk through their radial profile; diagonal
 symbols through their diagonal vectors (entrywise absolute values and sign
 splits, no eigensolver); dense symbols go through the spectra of Re sigma
-and Im sigma (``four``) or the trace norm of sigma (``abs``), with one
-LAPACK call per class dimension in each chunk.  A chunk whose channel sum is
-not finite raises NumericalFailureError.
+and Im sigma (``four``, one LAPACK call per class on the pair) or the trace
+norm of sigma (``abs``).  A chunk whose channel sum is not finite raises
+NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -95,32 +98,24 @@ def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray
 def _dense_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
     nch = channel_count(mode)
     vals = np.zeros((len(chunk), nch), dtype=channel_dtype(mode))
-    mats = [sym.evaluate(el) for el in chunk.elements()]
-    if mode in ("signed", "zeta"):
-        for i, (mat, d, w) in enumerate(zip(mats, chunk.dims, chunk.weights)):
+    for i, el in enumerate(chunk.elements()):
+        mat = sym.evaluate(el)
+        d = float(el.dim)
+        if mode == "signed":
             vals[i, 0] = d * np.trace(mat)
-            if mode == "zeta":
-                vals[i, 0] *= w ** (-s)
-        return vals.sum(axis=0)
-    # One spectral call per class dimension; rows are scattered back so the
-    # chunk sum keeps the canonical class order.
-    order = np.argsort(chunk.dims, kind="stable")
-    for idx in np.split(order, np.flatnonzero(np.diff(chunk.dims[order])) + 1):
-        d = chunk.dims[idx[0]]
-        stack = np.stack([mats[i] for i in idx])
-        if mode == "abs":
-            vals[idx, 0] = d * matcalc.trace_norm(stack)
-            continue
-        # Re sigma and Im sigma of the whole group in one eigensolve; for
-        # Hermitian H, ||H||_F is the 2-norm of its spectrum.
-        herm = np.concatenate((matcalc.real_part(stack), matcalc.imag_part(stack)))
-        eig = matcalc.hermitian_eigenvalues(herm)
-        pos, neg = matcalc.split_eigenvalues(eig, np.linalg.norm(eig, axis=-1, keepdims=True))
-        m = len(idx)
-        vals[idx, 0] = d * np.sum(pos[:m], axis=-1)
-        vals[idx, 1] = d * np.sum(neg[:m], axis=-1)
-        vals[idx, 2] = d * np.sum(pos[m:], axis=-1)
-        vals[idx, 3] = d * np.sum(neg[m:], axis=-1)
+        elif mode == "zeta":
+            vals[i, 0] = d * np.trace(mat) * el.weight ** (-s)
+        elif mode == "abs":
+            vals[i, 0] = d * matcalc.trace_norm(mat)
+        else:
+            # Re sigma and Im sigma in one eigensolve, which also checks that
+            # sigma is finite; for Hermitian H, ||H||_F is the 2-norm of its
+            # spectrum.
+            adj = mat.conj().T
+            eig = matcalc.hermitian_eigenvalues(np.stack((0.5 * (mat + adj), -0.5j * (mat - adj))))
+            pos, neg = matcalc.split_eigenvalues(eig, np.linalg.norm(eig, axis=-1, keepdims=True))
+            # rows (Re, Im) x columns (+, -) -> (R+, R-, I+, I-)
+            vals[i] = d * np.stack((pos.sum(axis=-1), neg.sum(axis=-1)), axis=-1).ravel()
     return vals.sum(axis=0)
 
 
@@ -130,7 +125,8 @@ def _chunk_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
     elif sym.diag_fn is not None:
         part = _diagonal_terms(sym, chunk, mode, s)
     else:
-        part = _dense_terms(sym, chunk, mode, s)
+        with matcalc.one_blas_thread():
+            part = _dense_terms(sym, chunk, mode, s)
     if not np.all(np.isfinite(part)):
         raise NumericalFailureError(
             f"non-finite {mode} sum over the classes of weight "

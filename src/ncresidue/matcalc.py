@@ -4,7 +4,7 @@ Hermitian eigenproblems go to ``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK
 ``zheevd``).  ``hermitian_eigenvalues`` takes a ``(..., d, d)`` stack and
 validates it once -- square, finite, and Hermitian within
 HERMITIAN_TOLERANCE * (1 + ||A||_F) per matrix -- before one LAPACK call, so
-callers can batch every matrix of one dimension.  A LAPACK convergence
+several matrices of one dimension take one call.  A LAPACK convergence
 failure surfaces as NumericalFailureError.
 
 On top of the eigensolver sit the decompositions used throughout:
@@ -14,11 +14,22 @@ parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  Eigenvalues with modulus at most
 lands in neither signed part (but also not in |H|, keeping H+ + H- = |H|).
 The trace norm Tr|T| of a general square T is the sum of its singular
 values, with the same zero threshold.
+
+Threaded BLAS kernels split large matrices differently for different thread
+counts, so eigenvalues of classes beyond d ~ 100 would depend on
+OPENBLAS_NUM_THREADS.  ``one_blas_thread`` runs a block with the OpenBLAS
+bundled in numpy's wheels set to one thread, which makes such results
+independent of that setting.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -67,6 +78,59 @@ def _lapack(fn, a: np.ndarray, **kwargs):
         return fn(a, **kwargs)
     except np.linalg.LinAlgError as exc:
         raise NumericalFailureError(f"LAPACK {fn.__name__} failed: {exc}") from exc
+
+
+@functools.cache
+def _openblas_threads():
+    """(get, set) of the thread count of numpy's bundled OpenBLAS, or None."""
+    root = Path(np.__file__).resolve().parent
+    for path in sorted([*root.parent.glob("numpy.libs/*openblas*"), *root.glob(".dylibs/*openblas*")]):
+        try:
+            lib = ctypes.CDLL(str(path))
+        except OSError:
+            continue
+        for prefix, suffix in (("scipy_openblas", "64_"), ("scipy_openblas", ""), ("openblas", "")):
+            get = getattr(lib, f"{prefix}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{prefix}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+# The BLAS thread count is process-wide, so the pin count is too.
+_PIN_LOCK = threading.Lock()
+_pin_depth = 0
+_pin_saved = 1
+
+
+@contextmanager
+def one_blas_thread():
+    """Run the block with numpy's bundled OpenBLAS on one thread.
+
+    Nested and concurrent blocks share the setting; the previous thread
+    count comes back when the last one exits.  Without a bundled OpenBLAS
+    (another BLAS build) the block runs unchanged.
+    """
+    global _pin_depth, _pin_saved
+    blas = _openblas_threads()
+    if blas is None:
+        yield
+        return
+    get, set_ = blas
+    with _PIN_LOCK:
+        if _pin_depth == 0:
+            _pin_saved = get()
+            set_(1)
+        _pin_depth += 1
+    try:
+        yield
+    finally:
+        with _PIN_LOCK:
+            _pin_depth -= 1
+            if _pin_depth == 0:
+                set_(_pin_saved)
 
 
 @dataclass(frozen=True, eq=False)

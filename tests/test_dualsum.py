@@ -121,19 +121,18 @@ def test_dense_su2_to_256_matches_diagonal(dense_four):
     assert np.allclose(dense_four, ref, rtol=1e-9, atol=0.0)
 
 
-# Bit-identity across BLAS thread counts is checked to N = 64: OpenBLAS
-# threads its kernels (and so reorders sums) only for larger matrices.
-_BITS_SCHEDULE = _DENSE_SCHEDULE[:5]
+# Dense classes run with numpy's bundled OpenBLAS on one thread, so the sums
+# to N = 256 are bit-identical for any worker or BLAS thread count.
 
 
 def dense_four_norm_bits(threads=1):
-    """Hex of the dense four-norm annulus sums to N = 64 (also run in subprocesses)."""
-    out = dualsum.annulus_sums(_dense_pattern_symbol(), _BITS_SCHEDULE, "four", threads=threads)
+    """Hex of the dense four-norm annulus sums to N = 256 (also run in subprocesses)."""
+    out = dualsum.annulus_sums(_dense_pattern_symbol(), _DENSE_SCHEDULE, "four", threads=threads)
     return out.tobytes().hex()
 
 
-def test_dense_four_norms_bit_identical_across_worker_threads():
-    assert dense_four_norm_bits(threads=1) == dense_four_norm_bits(threads=2)
+def test_dense_four_norms_bit_identical_across_worker_threads(dense_four):
+    assert dense_four_norm_bits(threads=2) == dense_four.tobytes().hex()
 
 
 def _bits_with_blas_threads(n):
@@ -152,10 +151,10 @@ def _bits_with_blas_threads(n):
     return proc.stdout.strip()
 
 
-def test_dense_four_norms_bit_identical_across_blas_threads():
+def test_dense_four_norms_bit_identical_across_blas_threads(dense_four):
     one = _bits_with_blas_threads(1)
     assert one == _bits_with_blas_threads(2)
-    assert one == dense_four_norm_bits()
+    assert one == dense_four.tobytes().hex()
 
 
 # ---------------------------------------------------------------------------

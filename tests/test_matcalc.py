@@ -1,4 +1,6 @@
 import math
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -153,6 +155,54 @@ def test_lapack_failure_is_numerical_failure(monkeypatch, name, call):
     monkeypatch.setattr(np.linalg, name, fail)
     with pytest.raises(NumericalFailureError, match="no convergence"):
         call(np.eye(3, dtype=complex))
+
+
+@pytest.mark.skipif(matcalc._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+def test_one_blas_thread_pins_nests_and_restores():
+    get, set_ = matcalc._openblas_threads()
+    before = get()
+    set_(2)
+    try:
+        start = get()  # 1 on a one-core machine
+        with matcalc.one_blas_thread():
+            with matcalc.one_blas_thread():
+                assert get() == 1
+            assert get() == 1
+        assert get() == start
+        with pytest.raises(ZeroDivisionError):
+            with matcalc.one_blas_thread():
+                1 / 0
+        assert get() == start
+    finally:
+        set_(before)
+
+
+@pytest.mark.skipif(matcalc._openblas_threads() is None, reason="numpy has no bundled OpenBLAS")
+def test_one_blas_thread_concurrent_blocks_restore_once():
+    get, set_ = matcalc._openblas_threads()
+    before = get()
+    interval = sys.getswitchinterval()
+    set_(2)
+    sys.setswitchinterval(1e-6)
+    try:
+        start = get()
+
+        def enter_many():
+            inside = set()
+            for _ in range(5000):
+                with matcalc.one_blas_thread():
+                    inside.add(get())
+            return inside
+
+        with ThreadPoolExecutor(max_workers=16) as pool:
+            futures = [pool.submit(enter_many) for _ in range(16)]
+            seen = set().union(*(f.result(timeout=60) for f in futures))
+        assert seen == {1}
+        assert get() == start
+        assert matcalc._pin_depth == 0
+    finally:
+        sys.setswitchinterval(interval)
+        set_(before)
 
 
 def test_trace_norm_examples():
