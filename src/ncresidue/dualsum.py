@@ -1,14 +1,16 @@
 """Deterministic reductions of symbol traces over the unitary dual.
 
 The reductions here back every partial sum in the package.  A cutoff
-schedule splits the dual into annuli; each annulus is covered by canonically
-ordered chunks.  Chunk contributions are pairwise-summed by numpy and then
-combined with Kahan compensation in chunk order, so results are
-bit-reproducible and independent of the worker count (chunk boundaries are
-fixed by the cutoffs alone).  Dense classes are evaluated and solved with
-numpy's bundled OpenBLAS on one thread (``matcalc.one_blas_thread``), so
-they are also independent of OPENBLAS_NUM_THREADS; with another BLAS build
-large dense classes may depend on its thread count.
+schedule splits the dual into annuli; each annulus is covered by blocks:
+canonically ordered chunks of dual classes, or, for scalar symbols, radial
+shells in increasing weight order.  Block contributions are pairwise-summed
+by numpy and then combined with Kahan compensation in block order, so
+results are bit-reproducible and independent of the worker count (block
+boundaries are fixed by the cutoffs alone).  Dense classes are evaluated
+and solved with numpy's bundled OpenBLAS on one thread
+(``matcalc.one_blas_thread``), so they are also independent of
+OPENBLAS_NUM_THREADS; with another BLAS build large dense classes may
+depend on its thread count.
 
 Channel modes:
 
@@ -17,12 +19,14 @@ Channel modes:
 * ``four``    d * (Tr R+, Tr R-, Tr I+, Tr I-) with R = Re sigma, I = Im sigma
 * ``zeta``    sum of d * Tr sigma * weight**(-s)   (one complex channel)
 
-Scalar symbols evaluate in bulk through their radial profile; diagonal
-symbols through their diagonal vectors (entrywise absolute values and sign
-splits, no eigensolver); dense symbols go through the spectra of Re sigma
-and Im sigma (``four``, one LAPACK call per class on the pair) or the trace
-norm of sigma (``abs``).  A chunk whose channel sum is not finite raises
-NumericalFailureError.
+Scalar symbols are summed per shell: the radial profile is evaluated once
+per distinct weight and multiplied by the shell's exact multiplicity
+``sum d^2`` (``GroupModel.radial_shells``), so the dual is never enumerated
+for them.  Diagonal symbols evaluate through their diagonal vectors
+(entrywise absolute values and sign splits, no eigensolver); dense symbols
+go through the spectra of Re sigma and Im sigma (``four``, one LAPACK call
+per class on the pair) or the trace norm of sigma (``abs``).  A block whose
+channel sum is not finite raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -52,15 +56,15 @@ def channel_dtype(mode: str):
     return _MODE_DTYPE[mode]
 
 
-def _radial_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
-    prof = sym.radial_profile(chunk.weights)
-    d2 = chunk.dims * chunk.dims
+def _radial_terms(sym: MatrixSymbol, weights, mult, mode: str, s: float) -> np.ndarray:
+    prof = sym.radial_profile(weights)
+    d2 = mult.astype(np.float64)  # exact: multiplicities stay below 2**53
     if mode == "abs":
         return np.array([np.sum(d2 * np.abs(prof))])
     if mode == "signed":
         return np.array([np.sum(d2 * prof)])
     if mode == "zeta":
-        return np.array([np.sum(d2 * prof * chunk.weights ** (-s))])
+        return np.array([np.sum(d2 * prof * weights ** (-s))])
     re = prof.real
     im = prof.imag
     return np.array(
@@ -119,18 +123,21 @@ def _dense_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
     return vals.sum(axis=0)
 
 
-def _chunk_terms(sym: MatrixSymbol, chunk, mode: str, s: float) -> np.ndarray:
+def _block_terms(sym: MatrixSymbol, block, mode: str, s: float) -> np.ndarray:
+    """Channel sum of one block: a (weights, mult) shell block or a dual chunk."""
     if sym.radial_fn is not None:
-        part = _radial_terms(sym, chunk, mode, s).astype(channel_dtype(mode))
-    elif sym.diag_fn is not None:
-        part = _diagonal_terms(sym, chunk, mode, s)
+        weights, mult = block
+        part = _radial_terms(sym, weights, mult, mode, s).astype(channel_dtype(mode))
     else:
-        with matcalc.one_blas_thread():
-            part = _dense_terms(sym, chunk, mode, s)
+        weights = block.weights
+        if sym.diag_fn is not None:
+            part = _diagonal_terms(sym, block, mode, s)
+        else:
+            with matcalc.one_blas_thread():
+                part = _dense_terms(sym, block, mode, s)
     if not np.all(np.isfinite(part)):
         raise NumericalFailureError(
-            f"non-finite {mode} sum over the classes of weight "
-            f"{chunk.weights[0]:g}..{chunk.weights[-1]:g}"
+            f"non-finite {mode} sum over the classes of weight {weights[0]:g}..{weights[-1]:g}"
         )
     return part
 
@@ -158,25 +165,26 @@ def annulus_sums(
     mode: str,
     s: float = 0.0,
     threads: int = 1,
+    lo: float = 0.0,
 ) -> np.ndarray:
     """Channel sums per annulus of the cutoff schedule, shape (J, channels).
 
     Annulus j covers weights in (schedule[j-1], schedule[j]] (starting from
-    zero), so every dual class is evaluated exactly once.  Cumulative sums of
-    the rows give the partial-sum series of the schedule.
+    ``lo``), so every dual class is evaluated exactly once.  Cumulative sums
+    of the rows give the partial-sum series of the schedule.
     """
     if mode not in _MODE_CHANNELS:
         raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
     schedule = [float(x) for x in schedule]
     if not schedule:
         raise InvalidArgumentError("schedule must be non-empty")
-    if schedule[0] < 1.0 or any(b <= a for a, b in zip(schedule, schedule[1:])):
-        raise InvalidArgumentError("schedule must be strictly increasing with values >= 1")
+    lo = float(lo)
+    if schedule[0] < 1.0 or any(b <= a for a, b in zip([lo] + schedule, schedule)):
+        raise InvalidArgumentError("schedule must be strictly increasing, >= 1 and above lo")
     nch = channel_count(mode)
     dtype = channel_dtype(mode)
     out = np.zeros((len(schedule), nch), dtype=dtype)
-    group = sym.group
-    lo = 0.0
+    blocks_of = sym.group.radial_shells if sym.radial_fn is not None else sym.group.dual_chunks
     if threads > 1:
         pool = ThreadPoolExecutor(max_workers=threads)
     else:
@@ -184,11 +192,11 @@ def annulus_sums(
     try:
         for j, hi in enumerate(schedule):
             acc = _Kahan(nch, dtype)
-            chunks = group.dual_chunks(lo, hi)
+            blocks = blocks_of(lo, hi)
             if pool is None:
-                parts = (_chunk_terms(sym, c, mode, s) for c in chunks)
+                parts = (_block_terms(sym, b, mode, s) for b in blocks)
             else:
-                parts = pool.map(lambda c: _chunk_terms(sym, c, mode, s), chunks)
+                parts = pool.map(lambda b: _block_terms(sym, b, mode, s), blocks)
             for part in parts:
                 acc.add(part.astype(dtype))
             out[j] = acc.value()

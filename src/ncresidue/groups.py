@@ -1,6 +1,6 @@
 """Compact-group models: unitary duals, counting bounds, Haar quadrature.
 
-A group model provides the three ingredients the rest of the package needs:
+A group model provides the four ingredients the rest of the package needs:
 
 * enumeration of the unitary dual up to an elliptic-weight cutoff, in a
   fixed canonical order so that floating-point reductions are reproducible
@@ -8,7 +8,12 @@ A group model provides the three ingredients the rest of the package needs:
 * an upper bound for the spectral counting function ``sum_{<xi><=t} d^2``
   together with the leading coefficient of its derivative, used by
   truncation-tail models,
-* quadrature rules for the normalized Haar measure (total mass one).
+* quadrature rules for the normalized Haar measure (total mass one),
+* radial shells: the distinct elliptic weights of an annulus with their
+  exact multiplicities ``sum d^2`` (torus: r_n(k), the number of ways to
+  write the Laplace eigenvalue k as a sum of n squares; SU(2): d^2 per
+  level), in increasing weight order.  A scalar symbol depends on the
+  weight alone, so its dual sums collapse to one term per shell.
 
 Supported groups are ``Torus(n)`` for n in {1, 2, 3} and ``SU2()``.  The
 elliptic weight of a dual class is ``(1 + eigenvalue)**0.5`` where
@@ -109,6 +114,12 @@ class DualChunk:
 # reductions stay bit-reproducible.
 _CHUNK_TARGET = 1 << 17
 
+# Radial shell blocks, likewise fixed by the cutoffs alone, are kept
+# cache-sized: the radial reduction makes a few temporaries per shell, and
+# on SU(2) zeta sums to N = 2^22 blocks of 2^14 shells run twice as fast as
+# blocks of 2^17.
+_SHELL_BLOCK = 1 << 14
+
 
 class GroupModel:
     """Base class for the supported compact groups."""
@@ -119,6 +130,16 @@ class GroupModel:
 
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
         """Canonically ordered chunks covering the annulus lo < weight <= hi."""
+        raise NotImplementedError
+
+    def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        """Blocks (weights, multiplicities) covering the annulus lo < weight <= hi.
+
+        Weights are the distinct elliptic weights of the annulus in
+        increasing order, float64; multiplicities are the exact int64 sums of
+        d^2 over the classes of each weight.  Blocks hold at most
+        ``_SHELL_BLOCK`` shells and their boundaries depend on (lo, hi) only.
+        """
         raise NotImplementedError
 
     def dual_elements(self, cutoff: float) -> list[DualElement]:
@@ -147,6 +168,48 @@ class GroupModel:
 
 def _int_floor(x: float) -> int:
     return int(math.floor(x))
+
+
+def _isqrt(v: np.ndarray) -> np.ndarray:
+    """Elementwise floor(sqrt(v)) for int64 v >= 0 below 2**52, exactly."""
+    r = np.floor(np.sqrt(v.astype(np.float64))).astype(np.int64)
+    r -= r * r > v
+    r += (r + 1) * (r + 1) <= v
+    return r
+
+
+def _sign_count(x):
+    """Number of integers with square x**2: 1 for x = 0, else 2."""
+    return np.where(x > 0, 2, 1)
+
+
+def _r2_block(a: int, b: int) -> np.ndarray:
+    """r_2(k) for a <= k < b: lattice points of Z^2 with x1^2 + x2^2 = k.
+
+    Scatters x1^2 + x2^2 over the pairs x1, x2 >= 0 that land in [a, b),
+    each weighted by its sign count; every count is an exact small integer.
+    """
+    x1 = np.arange(math.isqrt(b - 1) + 1, dtype=np.int64)
+    low = a - x1 * x1
+    first = np.where(low > 0, _isqrt(np.maximum(low - 1, 0)) + 1, 0)  # least x2 with x2^2 >= low
+    count = _isqrt(b - 1 - x1 * x1) + 1 - first
+    x1 = np.repeat(x1, count)
+    x2 = np.arange(x1.size, dtype=np.int64) - np.repeat(np.cumsum(count) - count - first, count)
+    k = x1 * x1 + x2 * x2 - a
+    sign = (_sign_count(x1) * _sign_count(x2)).astype(np.float64)
+    return np.bincount(k, weights=sign, minlength=b - a).astype(np.int64)
+
+
+def _r3_block(r2: np.ndarray, a: int, b: int) -> np.ndarray:
+    """r_3(k) for a <= k < b as the shift-add sum_m r_1(m^2) r_2(k - m^2).
+
+    ``r2`` holds r_2 on [0, b) with the sign count 2 of m > 0 folded in.
+    """
+    out = r2[a:b] // 2
+    for m in range(1, math.isqrt(b - 1) + 1):
+        start = max(a - m * m, 0)
+        out[start + m * m - a :] += r2[start : b - m * m]
+    return out
 
 
 class Torus(GroupModel):
@@ -218,6 +281,30 @@ class Torus(GroupModel):
         if count:
             yield self._make_chunk(np.concatenate(buf_labels), np.concatenate(buf_q))
 
+    def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        # Laplace eigenvalues k with lo^2 < 1 + k <= hi^2, the exact integer
+        # test of dual_chunks.
+        kmin = _int_floor(lo * lo)
+        kend = _int_floor(hi * hi)
+        if self.n == 1:
+            # sparse: the shells are the squares x^2, x >= 0
+            xend = math.isqrt(kend - 1) + 1 if kend > 0 else 0
+            xmin = math.isqrt(kmin - 1) + 1 if kmin > 0 else 0
+            for start in range(xmin, xend, _SHELL_BLOCK):
+                x = np.arange(start, min(start + _SHELL_BLOCK, xend), dtype=np.int64)
+                yield np.sqrt((1 + x * x).astype(np.float64)), _sign_count(x)
+            return
+        if self.n == 3 and kend > kmin:
+            # 2 * r_2 on [0, kend): hi^2 int64 counts, 8 MB at hi = 1024
+            r2 = 2 * np.concatenate(
+                [_r2_block(a, min(a + _SHELL_BLOCK, kend)) for a in range(0, kend, _SHELL_BLOCK)]
+            )
+        for start in range(kmin, kend, _SHELL_BLOCK):
+            stop = min(start + _SHELL_BLOCK, kend)
+            mult = _r2_block(start, stop) if self.n == 2 else _r3_block(r2, start, stop)
+            k = np.flatnonzero(mult)
+            yield np.sqrt((1 + start + k).astype(np.float64)), mult[k]
+
     def _make_chunk(self, labels: np.ndarray, q: np.ndarray) -> DualChunk:
         qf = q.astype(np.float64)
         return DualChunk(
@@ -256,27 +343,27 @@ class SU2(GroupModel):
     def counting_envelope(self, t: float) -> float:
         return float(t) ** 3
 
+    @staticmethod
+    def _levels(lo: float, hi: float) -> Iterator[np.ndarray]:
+        # levels ell with lo < ell + 1 <= hi; one class, and one shell, each
+        stop = max(_int_floor(hi), 0)
+        for start in range(max(_int_floor(lo), 0), stop, _SHELL_BLOCK):
+            yield np.arange(start, min(start + _SHELL_BLOCK, stop), dtype=np.int64)
+
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
-        lmax = _int_floor(hi) - 1
-        while lmax + 2 <= hi:  # guard against floor rounding on exact integers
-            lmax += 1
-        if lmax < 0:
-            return
-        step = 1 << 16
-        for start in range(0, lmax + 1, step):
-            ell = np.arange(start, min(start + step, lmax + 1), dtype=np.int64)
+        for ell in self._levels(lo, hi):
             w = (ell + 1).astype(np.float64)
-            mask = w > lo
-            if mask.any():
-                ell = ell[mask]
-                w = w[mask]
-                yield DualChunk(
-                    group=self,
-                    labels=ell,
-                    dims=w.copy(),
-                    weights=w,
-                    eigenvalues=(ell * (ell + 2)).astype(np.float64),
-                )
+            yield DualChunk(
+                group=self,
+                labels=ell,
+                dims=w.copy(),
+                weights=w,
+                eigenvalues=(ell * (ell + 2)).astype(np.float64),
+            )
+
+    def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        for ell in self._levels(lo, hi):
+            yield (ell + 1).astype(np.float64), (ell + 1) * (ell + 1)
 
     def haar_quadrature(self, resolution: int) -> QuadratureRule:
         m = int(resolution)

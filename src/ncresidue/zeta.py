@@ -39,11 +39,11 @@ DEFAULT_START_CUTOFF = 16.0
 TAIL_SAFETY_FACTOR = 2.0
 _ORDER_TOL = 1e-9
 
-_TORUS_MAX_CUTOFF = {1: float(2**24), 2: float(2**11), 3: float(2**8)}
+_TORUS_MAX_CUTOFF = {1: float(2**24), 2: float(2**11), 3: float(2**10)}
 
 
 def default_max_cutoff(group: GroupModel) -> float:
-    """Largest truncation cutoff the dual enumeration can afford by default."""
+    """Largest truncation cutoff the dual sums can afford by default."""
     if group.name == "SU2":
         return float(2**24)
     return _TORUS_MAX_CUTOFF[group.dim]
@@ -52,10 +52,10 @@ def default_max_cutoff(group: GroupModel) -> float:
 def default_s_schedule(group: GroupModel):
     """Evaluation points for the residue extrapolation, largest first.
 
-    Smaller s means slower N**(-s) tail decay; on T^2 and T^3 the dual
-    enumeration budget caps how small s can get.  Where the budget allows,
-    the trailing points are packed close to zero to shrink the curvature
-    bias of the linear extrapolation.
+    Smaller s means slower N**(-s) tail decay; on T^2 and T^3 the cutoff
+    budget caps how small s can get.  Where the budget allows, the trailing
+    points are packed close to zero to shrink the curvature bias of the
+    linear extrapolation.
     """
     if group.name == "SU2" or group.dim == 1:
         return [1.6, 0.8, 0.4, 0.3, 0.2]
@@ -130,7 +130,7 @@ def zeta_trace(
     hi = float(start_cutoff)
     best = None
     while True:
-        acc += _annulus(sym, lo, hi, s, threads)
+        acc += complex(dualsum.annulus_sums(sym, [hi], "zeta", s, threads, lo=lo)[0, 0])
         model = tail_model(hi)
         bound = TAIL_SAFETY_FACTOR * model
         mag = abs(acc)
@@ -157,21 +157,6 @@ def zeta_trace(
             )
         lo = hi
         hi = min(hi * 2.0, float(max_cutoff))
-
-
-def _annulus(sym, lo, hi, s, threads) -> complex:
-    acc = dualsum._Kahan(1, np.complex128)
-    chunks = sym.group.dual_chunks(lo, hi)
-    if threads > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            parts = list(pool.map(lambda c: dualsum._chunk_terms(sym, c, "zeta", s), chunks))
-    else:
-        parts = (dualsum._chunk_terms(sym, c, "zeta", s) for c in chunks)
-    for part in parts:
-        acc.add(np.asarray(part, dtype=np.complex128))
-    return complex(acc.value()[0])
 
 
 def _intercept_weights(x: np.ndarray) -> np.ndarray:

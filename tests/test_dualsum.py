@@ -21,7 +21,7 @@ from ncresidue import (
     zeta_trace,
 )
 from ncresidue import dualsum
-from ncresidue.errors import NumericalFailureError
+from ncresidue.errors import InvalidArgumentError, NumericalFailureError
 
 # Fixed deterministic dense unitaries, one per dimension (one per SU(2)
 # level): phases * DFT * phases * DFT, built with FFTs so that large levels
@@ -44,7 +44,15 @@ def _conjugated(u, diag):
 # ---------------------------------------------------------------------------
 # the structure tag never changes an answer
 
-_GROUPS = {"T1": (Torus(1), [4.0, 16.0, 64.0]), "SU2": (SU2(), [4.0, 8.0, 16.0])}
+# On T^2 and T^3 the scalar tag runs on radial shells with r_n(k)
+# multiplicities and the other two tags enumerate the lattice, so these are
+# independent code paths.
+_GROUPS = {
+    "T1": (Torus(1), [4.0, 16.0, 64.0]),
+    "T2": (Torus(2), [4.0, 8.0, 16.0]),
+    "T3": (Torus(3), [2.0, 4.0, 8.0]),
+    "SU2": (SU2(), [4.0, 8.0, 16.0]),
+}
 
 
 def _representations(group, coeff, alpha):
@@ -172,6 +180,43 @@ def test_non_finite_dense_trace_raises():
     )
     with pytest.raises(NumericalFailureError, match="non-finite signed sum"):
         dualsum.annulus_sums(sym, [4.0], "signed")
+
+
+def test_overflowing_torus3_shell_sum_raises():
+    # the first annulus ends at weight 16, but |xi|^2 = 255 = 8*31 + 7 is no
+    # sum of three squares, so its last populated shell has weight sqrt(255)
+    match = r"non-finite abs sum over the classes of weight 1\.\.15\.9687$"
+    with pytest.raises(NumericalFailureError, match=match):
+        sum_series(weight_power_symbol(Torus(3), 1.0, 400.0), geometric_schedule(16, 2, 4))
+
+
+def test_torus3_shell_series_bit_identical_across_worker_threads():
+    # to N = 256 the last annuli span several shell blocks
+    sym = weight_power_symbol(Torus(3), 1.0, -3.0)
+    schedule = geometric_schedule(4.0, 2.0, 7)
+    one = sum_series(sym, schedule, threads=1).values
+    assert one.tobytes() == sum_series(sym, schedule, threads=3).values.tobytes()
+
+
+def test_radial_sums_never_enumerate_the_dual(monkeypatch):
+    def no_enumeration(self, lo, hi):
+        raise AssertionError("radial symbol enumerated the dual")
+
+    for group in (Torus(1), Torus(2), Torus(3), SU2()):
+        monkeypatch.setattr(type(group), "dual_chunks", no_enumeration)
+        sym = weight_power_symbol(group, 1.0, -group.dim)
+        for mode in ("abs", "signed", "four", "zeta"):
+            assert np.all(np.isfinite(dualsum.annulus_sums(sym, [4.0, 8.0], mode, s=0.5)))
+        zeta_trace(sym, 1.6, 0.35)
+
+
+def test_lower_bound_starts_the_first_annulus():
+    sym = weight_power_symbol(Torus(2), 1.0 + 0.5j, -2.0)
+    whole = dualsum.annulus_sums(sym, [4.0, 8.0, 16.0], "zeta", s=0.5)
+    tail = dualsum.annulus_sums(sym, [8.0, 16.0], "zeta", s=0.5, lo=4.0)
+    assert np.array_equal(tail, whole[1:])
+    with pytest.raises(InvalidArgumentError):
+        dualsum.annulus_sums(sym, [4.0], "zeta", s=0.5, lo=4.0)
 
 
 def test_non_finite_zeta_sample_raises():

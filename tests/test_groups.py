@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ncresidue import (
+    SU2,
     Torus,
     counting_envelope,
     enumerate_dual,
@@ -13,6 +14,7 @@ from ncresidue import (
     su2_character,
     su2_class_cosine,
 )
+from ncresidue import groups
 from ncresidue.errors import InvalidArgumentError
 
 
@@ -139,6 +141,123 @@ def test_annulus_partition(t2, su2):
         outer = [e.label for ch in g.dual_chunks(5.0, 12.0) for e in ch.elements()]
         assert sorted(map(str, inner + outer)) == sorted(map(str, whole))
         assert not set(map(str, inner)) & set(map(str, outer))
+
+
+# ---------------------------------------------------------------------------
+# radial shells against the enumeration oracle
+
+
+def _oracle_shells(g, lo, hi):
+    """Distinct weights and sum of d^2 per weight, from the enumerated classes."""
+    chunks = list(g.dual_chunks(lo, hi))
+    if not chunks:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    w = np.concatenate([c.weights for c in chunks])
+    d2 = np.concatenate([c.dims * c.dims for c in chunks])
+    weights, inverse = np.unique(w, return_inverse=True)
+    return weights, np.bincount(inverse, weights=d2).astype(np.int64)
+
+
+def _shells(g, lo, hi):
+    blocks = list(g.radial_shells(lo, hi))
+    for weights, mult in blocks:
+        assert 0 < len(weights) <= groups._SHELL_BLOCK and weights.shape == mult.shape
+        assert weights.dtype == np.float64 and mult.dtype == np.int64
+    if not blocks:
+        return np.zeros(0), np.zeros(0, dtype=np.int64)
+    return np.concatenate([b[0] for b in blocks]), np.concatenate([b[1] for b in blocks])
+
+
+_SHELL_GROUPS = {
+    "T1": (Torus(1), 400.0),
+    "T2": (Torus(2), 60.0),
+    "T3": (Torus(3), 20.0),
+    "SU2": (SU2(), 400.0),
+}
+
+
+@settings(max_examples=25)
+@given(
+    name=st.sampled_from(sorted(_SHELL_GROUPS)),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+)
+def test_radial_shells_match_enumeration_on_random_annuli(name, a, b):
+    g, top = _SHELL_GROUPS[name]
+    lo, hi = sorted((a * top, b * top))
+    weights, mult = _shells(g, lo, hi)
+    ref_w, ref_m = _oracle_shells(g, lo, hi)
+    assert np.array_equal(weights, ref_w)
+    assert np.array_equal(mult, ref_m)
+    assert np.all(np.diff(weights) > 0)
+
+
+@pytest.mark.parametrize("name", sorted(_SHELL_GROUPS))
+def test_radial_shells_edge_annuli(name):
+    g, top = _SHELL_GROUPS[name]
+    on_shell = 3.0 if name in ("T2", "T3", "SU2") else 1.0  # weight of a populated shell
+    for lo, hi in ((0.0, top), (0.0, 1.0), (0.0, 1.2), (on_shell, top), (2.0, on_shell + 4.0)):
+        weights, mult = _shells(g, lo, hi)
+        ref_w, ref_m = _oracle_shells(g, lo, hi)
+        assert np.array_equal(weights, ref_w) and np.array_equal(mult, ref_m)
+    # the lower bound is exclusive, the upper inclusive
+    assert _shells(g, on_shell, top)[0][0] > on_shell
+    assert _shells(g, 0.0, on_shell)[0][-1] == on_shell
+    # the zero class alone, then nothing between weights 1 and sqrt(2)
+    assert _shells(g, 0.0, 1.2)[0].tolist() == [1.0]
+    assert _shells(g, 0.0, 1.2)[1].tolist() == [1]
+    assert _shells(g, 1.0, 1.3)[0].size == 0
+    assert _shells(g, 0.0, 0.5)[0].size == 0
+
+
+def _multiplicity_by_eigenvalue(g, kmax):
+    """r_n(k) for 0 <= k <= kmax, read from the shells of weight sqrt(1 + k)."""
+    weights, mult = _shells(g, 0.0, math.sqrt(kmax + 1.5))
+    k = np.rint(weights * weights).astype(np.int64) - 1
+    out = np.zeros(kmax + 1, dtype=np.int64)
+    out[k] = mult
+    return out
+
+
+def test_r2_is_jacobi_two_square_count():
+    kmax = 20000
+    r2 = _multiplicity_by_eigenvalue(Torus(2), kmax)
+    # d1(k) - d3(k) by a sieve over the odd divisors d
+    chi = np.zeros(kmax + 1, dtype=np.int64)
+    for d in range(1, kmax + 1, 2):
+        chi[d::d] += 1 if d % 4 == 1 else -1
+    assert r2[0] == 1
+    assert np.array_equal(r2[1:], 4 * chi[1:])
+
+
+def test_r3_vanishes_exactly_on_legendre_exceptions():
+    kmax = 20000
+    r3 = _multiplicity_by_eigenvalue(Torus(3), kmax)
+
+    def legendre_exception(k):
+        while k > 0 and k % 4 == 0:
+            k //= 4
+        return k % 8 == 7
+
+    exceptions = np.array([legendre_exception(k) for k in range(kmax + 1)])
+    assert np.all(r3[exceptions] == 0)
+    assert np.all(r3[~exceptions] > 0)
+    assert r3[:6].tolist() == [1, 6, 12, 8, 6, 24]
+
+
+@pytest.mark.parametrize("name", sorted(_SHELL_GROUPS))
+def test_radial_shells_across_block_boundaries(name, monkeypatch):
+    # small blocks: the block seams, the T^3 shift-add over earlier blocks
+    # and the block-size bound all show at oracle-sized cutoffs
+    monkeypatch.setattr(groups, "_SHELL_BLOCK", 7)
+    g, top = _SHELL_GROUPS[name]
+    for lo, hi in ((0.0, top / 2), (math.sqrt(50.0), top / 2)):
+        blocks = list(g.radial_shells(lo, hi))
+        assert len(blocks) >= 3 and all(len(w) <= 7 for w, _ in blocks)
+        weights = np.concatenate([w for w, _ in blocks])
+        mult = np.concatenate([m for _, m in blocks])
+        ref_w, ref_m = _oracle_shells(g, lo, hi)
+        assert np.array_equal(weights, ref_w) and np.array_equal(mult, ref_m)
 
 
 # ---------------------------------------------------------------------------

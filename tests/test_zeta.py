@@ -14,6 +14,7 @@ from ncresidue import (
     zeta_residue,
     zeta_trace,
 )
+from ncresidue.zeta import default_max_cutoff, default_tolerance
 from ncresidue.errors import BudgetExceededError, InvalidArgumentError
 
 PI_COTH_PI = math.pi / math.tanh(math.pi)
@@ -63,6 +64,15 @@ def test_budget_exceeded_carries_best_sample(t1):
     assert best is not None
     assert best.truncation_cutoff == 64.0
     assert best.tail_bound > 0.0
+
+
+def test_torus3_small_s_sample_within_default_budget(t3):
+    # s = 0.3 needs a truncation beyond 2^8, the enumeration-era budget
+    sym = weight_power_symbol(t3, 1.0, -3.0)
+    tol = default_tolerance(t3)
+    smp = zeta_trace(sym, s=0.3, tol=tol)
+    assert 256.0 < smp.truncation_cutoff <= default_max_cutoff(t3)
+    assert smp.tail_bound <= tol * max(1.0, abs(smp.partial))
 
 
 def test_monotone_tail(su2):
