@@ -6,8 +6,9 @@ canonically ordered chunks of dual classes, or, for scalar symbols, radial
 shells in increasing weight order.  Block contributions are pairwise-summed
 by numpy and then combined with Kahan compensation in block order, so
 results are bit-reproducible and independent of the worker count (block
-boundaries are fixed by the cutoffs alone).  Dense classes are evaluated
-and solved with numpy's bundled OpenBLAS on one thread
+boundaries are fixed by the cutoffs alone).  With ``threads`` workers at
+most ``threads`` blocks are in flight at once.  Dense classes are
+evaluated and solved with numpy's bundled OpenBLAS on one thread
 (``matcalc.one_blas_thread``), so they are also independent of
 OPENBLAS_NUM_THREADS; with another BLAS build large dense classes may
 depend on its thread count.
@@ -31,6 +32,7 @@ channel sum is not finite raises NumericalFailureError.
 
 from __future__ import annotations
 
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -159,6 +161,17 @@ class _Kahan:
         return self.total.copy()
 
 
+def _windowed(pool: ThreadPoolExecutor, size: int, fn, items):
+    """``pool.map(fn, items)`` in order, with at most ``size`` items in flight."""
+    pending: deque = deque()
+    for item in items:
+        pending.append(pool.submit(fn, item))
+        if len(pending) == size:
+            yield pending.popleft().result()
+    while pending:
+        yield pending.popleft().result()
+
+
 def annulus_sums(
     sym: MatrixSymbol,
     schedule,
@@ -196,7 +209,7 @@ def annulus_sums(
             if pool is None:
                 parts = (_block_terms(sym, b, mode, s) for b in blocks)
             else:
-                parts = pool.map(lambda b: _block_terms(sym, b, mode, s), blocks)
+                parts = _windowed(pool, threads, lambda b: _block_terms(sym, b, mode, s), blocks)
             for part in parts:
                 acc.add(part.astype(dtype))
             out[j] = acc.value()

@@ -8,8 +8,15 @@ weak-l1 slopes of those parts combine into the frozen residue
 
 and the Haar-weighted sum of the frozen residues over the nodes is the
 residue of the field.  All four slopes per node come from a single pass
-over the dual with one eigendecomposition of Re sigma and one of Im sigma
-per class (the signed parts are read off the same spectra).
+over the dual; dense symbols take one LAPACK call per class on the pair
+(Re sigma, Im sigma), and the signed parts are read off the same spectra.
+
+A real modulation a(x) * sigma(xi) factors out of the split: Re(a sigma) =
+a Re sigma and Im(a sigma) = a Im sigma, so the four parts at a node are
+|a(x_j)| times those of sigma, with + and - exchanged where a(x_j) < 0.
+For such fields (``SymbolField.scaled``) the base symbol is summed over
+the dual once and each node's series is its scaled copy; scaling after
+the compensated sum rather than before changes only low-order bits.
 
 For invariant fields the x-integral is skipped (the quadrature weights sum
 to one), which keeps the result exact rather than multiplied by a rounded
@@ -26,7 +33,7 @@ from typing import Optional
 import numpy as np
 
 from . import dualsum, weakl1, zeta
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .symbols import Expansion, MatrixSymbol, SymbolField, extract_residue_component
 from .weakl1 import SlopeEstimate, estimate_slope
 
@@ -98,6 +105,21 @@ def four_part_series(sym: MatrixSymbol, schedule, threads: int = 1):
     return dualsum.cumulative_sums(annuli)
 
 
+def _four_norms(series: np.ndarray, schedule) -> FourNorms:
+    if not np.all(np.isfinite(series)):
+        raise NumericalFailureError("non-finite four-part partial sums")
+    cutoffs = np.asarray(schedule, dtype=np.float64)
+    norms = FourNorms(
+        *(
+            estimate_slope(weakl1.PartialSumSeries(cutoffs, series[:, c].copy(), "abs"))
+            for c in range(4)
+        )
+    )
+    if not (np.isfinite(norms.value) and np.isfinite(norms.error_bar)):
+        raise NumericalFailureError("non-finite four-norm slope fit")
+    return norms
+
+
 def frozen_residue(sym: MatrixSymbol, schedule, threads: int = 1) -> FourNorms:
     """Four-norm decomposition of an invariant symbol of critical order."""
     n = sym.group.dim
@@ -105,13 +127,7 @@ def frozen_residue(sym: MatrixSymbol, schedule, threads: int = 1) -> FourNorms:
         raise InvalidArgumentError(
             f"frozen residue needs order {-n}, envelope declares {sym.envelope.order}"
         )
-    series = four_part_series(sym, schedule, threads=threads)
-    cutoffs = np.asarray(schedule, dtype=np.float64)
-    estimates = [
-        estimate_slope(weakl1.PartialSumSeries(cutoffs, series[:, c].copy(), "abs"))
-        for c in range(4)
-    ]
-    return FourNorms(*estimates)
+    return _four_norms(four_part_series(sym, schedule, threads=threads), schedule)
 
 
 def wodzicki_residue(field: SymbolField, schedule, threads: int = 1) -> ResidueReport:
@@ -122,13 +138,25 @@ def wodzicki_residue(field: SymbolField, schedule, threads: int = 1) -> ResidueR
             f"field degree {field.degree} is not the critical order {-n}"
         )
     quad = field.quadrature
-    cache: dict[int, FourNorms] = {}
+    if field.scaled is None:
+        resolved = [(sym, 1.0) for sym in field.node_symbols]
+    else:
+        base, factors = field.scaled
+        resolved = [(base, float(a)) for a in factors]
+    series_of: dict[int, np.ndarray] = {}
+    norms_of: dict[tuple, FourNorms] = {}
     node_results = []
-    for node, w, sym in zip(quad.nodes, quad.weights, field.node_symbols):
-        norms = cache.get(id(sym))
+    for node, w, (sym, a) in zip(quad.nodes, quad.weights, resolved):
+        key = (id(sym), a)
+        norms = norms_of.get(key)
         if norms is None:
-            norms = frozen_residue(sym, schedule, threads=threads)
-            cache[id(sym)] = norms
+            series = series_of.get(id(sym))
+            if series is None:
+                series = series_of[id(sym)] = four_part_series(sym, schedule, threads=threads)
+            if a != 1.0:
+                # columns (R+, R-, I+, I-); a negative factor swaps the signs
+                series = abs(a) * (series[:, [1, 0, 3, 2]] if a < 0.0 else series)
+            norms = norms_of[key] = _four_norms(series, schedule)
         node_results.append(NodeResult(node=node, weight=float(w), norms=norms))
     if field.invariant:
         # weights sum to one; reuse the single frozen value exactly

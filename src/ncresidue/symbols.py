@@ -264,16 +264,34 @@ def scale_symbol(c: complex, a: MatrixSymbol) -> MatrixSymbol:
 
 @dataclass(frozen=True, eq=False)
 class SymbolField:
-    """One frozen symbol per quadrature node: x |-> sigma(x, .) of fixed degree."""
+    """One frozen symbol per quadrature node: x |-> sigma(x, .) of fixed degree.
+
+    ``scaled``, when set, is ``(base, factors)`` with real ``factors`` such
+    that ``node_symbols[j]`` is ``factors[j] * base``.  The residue then
+    sums the base over the dual once and scales its series per node
+    instead of summing every node symbol; ``node_symbols`` still holds the
+    scaled symbols for every other consumer.
+    """
 
     quadrature: QuadratureRule
     node_symbols: tuple
     degree: float
     invariant: bool = False
+    scaled: Optional[tuple] = None
 
     def __post_init__(self):
         if len(self.node_symbols) != self.quadrature.nodes.shape[0]:
             raise InvalidArgumentError("one symbol per quadrature node is required")
+        if self.scaled is not None:
+            base, factors = self.scaled
+            if (
+                len(factors) != len(self.node_symbols)
+                or base.group != self.node_symbols[0].group
+                or abs(base.envelope.order - self.degree) > _DEGREE_TOL
+            ):
+                raise InvalidArgumentError(
+                    "scaled needs a base of the field's group and degree and one factor per node"
+                )
         group = self.node_symbols[0].group
         for sym in self.node_symbols:
             if sym.group != group:
@@ -304,7 +322,11 @@ def modulated_field(
     quadrature: QuadratureRule,
     degree: float,
 ) -> SymbolField:
-    """Field sigma(x, xi) = a(x) * sym(xi) sampled at the quadrature nodes."""
+    """Field sigma(x, xi) = a(x) * sym(xi) sampled at the quadrature nodes.
+
+    When every sampled a(x_j) is real and they are not all equal, the field
+    records ``scaled = (sym, (a(x_0), a(x_1), ...))``.
+    """
     if abs(sym.envelope.order - degree) > _DEGREE_TOL:
         raise InvalidArgumentError(
             f"symbol order {sym.envelope.order} does not match the field degree {degree}"
@@ -314,7 +336,10 @@ def modulated_field(
         shared = scale_symbol(values[0], sym)
         return SymbolField(quadrature, (shared,) * len(values), degree, invariant=True)
     nodes = tuple(scale_symbol(v, sym) for v in values)
-    return SymbolField(quadrature, nodes, degree, invariant=False)
+    scaled = None
+    if all(v.imag == 0.0 for v in values):
+        scaled = (sym, tuple(v.real for v in values))
+    return SymbolField(quadrature, nodes, degree, invariant=False, scaled=scaled)
 
 
 def combine_fields(coeffs, fields) -> SymbolField:

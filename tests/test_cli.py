@@ -135,6 +135,22 @@ def test_overflowing_sum_exits_one(tmp_path):
     assert any("non-finite" in f for f in report["flags"])
 
 
+@pytest.mark.parametrize("coeff, amplitude", [(1e8, 1e300), (1.0, 3e306)])
+def test_overflowing_modulated_residue_exits_one(tmp_path, coeff, amplitude):
+    # the base series is finite; a node's scaled series or its slope fit is not
+    payload = json.loads(json.dumps(TORUS_RESIDUE))
+    payload["symbol"]["coeff_re"] = coeff
+    payload["modulation"]["coefficients"] = [amplitude, 0.5 * amplitude]
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    code = cli.main(["residue", "--config", cfg, "--out", out, "--threads", "1"])
+    assert code == 1
+    report = json.loads(open(out).read())
+    assert report["value"] is None
+    assert "per_node" not in report
+    assert any("non-finite" in f for f in report["flags"])
+
+
 def test_zeta_task(tmp_path):
     payload = {
         "group": {"kind": "su2"},

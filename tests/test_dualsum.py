@@ -225,3 +225,32 @@ def test_non_finite_zeta_sample_raises():
     )
     with pytest.raises(NumericalFailureError, match="non-finite zeta sum"):
         zeta_trace(nan_diag, 0.8, 0.1)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_worker_threads_pull_blocks_within_a_bounded_window(monkeypatch, threads):
+    # blocks are pulled at most threads + 1 ahead of the Kahan accumulation
+    group = Torus(1)
+    real_shells = type(group).radial_shells
+    added = [0]
+    lead = []
+
+    def counted_shells(self, lo, hi):
+        for k, block in enumerate(real_shells(self, lo, hi)):
+            lead.append(k + 1 - added[0])
+            yield block
+
+    real_add = dualsum._Kahan.add
+
+    def counted_add(self, part):
+        added[0] += 1
+        real_add(self, part)
+
+    sym = weight_power_symbol(group, 1.0, -1.0)
+    one = dualsum.annulus_sums(sym, [2.0**19], "four", threads=1)
+    monkeypatch.setattr(type(group), "radial_shells", counted_shells)
+    monkeypatch.setattr(dualsum._Kahan, "add", counted_add)
+    many = dualsum.annulus_sums(sym, [2.0**19], "four", threads=threads)
+    assert len(lead) >= 4 * threads
+    assert max(lead) <= threads + 1
+    assert one.tobytes() == many.tobytes()

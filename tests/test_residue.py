@@ -9,6 +9,7 @@ from ncresidue import (
     attach_zeta_cross_check,
     combine_fields,
     dense_symbol,
+    diag_signed_symbol,
     diagonal_symbol,
     estimate_slope,
     frozen_residue,
@@ -21,8 +22,10 @@ from ncresidue import (
     weight_power_symbol,
     wodzicki_residue,
 )
-from ncresidue.errors import InvalidArgumentError
-from ncresidue.residue import NON_CLASSICAL_ORDER_FLAG, UNRELIABLE_FLAG
+from ncresidue.errors import InvalidArgumentError, NumericalFailureError
+from ncresidue.groups import su2_class_cosine
+from ncresidue.residue import NON_CLASSICAL_ORDER_FLAG, UNRELIABLE_FLAG, four_part_series
+from ncresidue.symbols import SymbolField, scale_symbol
 
 T1_SCHEDULE = geometric_schedule(16.0, 2.0, 13)
 SU2_SCHEDULE = geometric_schedule(16.0, 2.0, 11)
@@ -240,3 +243,132 @@ def test_zeta_cross_check_skipped_for_varying_field(t1):
     checked = attach_zeta_cross_check(report, field)
     assert checked.cross_check is None
     assert any("cross-check skipped" in f for f in checked.flags)
+
+
+# ---------------------------------------------------------------------------
+# real modulations: one pass over the dual, scaled per node
+
+_PARTS = ("re_pos", "re_neg", "im_pos", "im_neg")
+
+
+def _scaled_report_matches_per_node_route(field, schedule):
+    base, factors = field.scaled
+    report = wodzicki_residue(field, schedule)
+    for a, nr in zip(factors, report.per_node):
+        want = frozen_residue(scale_symbol(a, base), schedule)
+        for part in _PARTS:
+            got, ref = getattr(nr.norms, part), getattr(want, part)
+            tol = 1e-12 * abs(ref.value)
+            assert abs(got.value - ref.value) <= tol
+            # an error bar is a difference of fits; compare it on the part's scale
+            assert abs(got.error_bar - ref.error_bar) <= tol
+    return report
+
+
+def test_sign_changing_real_modulation_scales_one_series(t1):
+    base = weight_power_symbol(t1, 1.0, -1.0)
+    # rounding makes cos vanish exactly at the nodes pi/2 and 3pi/2
+    field = modulated_field(
+        lambda x: round(math.cos(float(x[0])), 12), base, t1.haar_quadrature(8), -1.0
+    )
+    assert field.scaled[0] is base
+    factors = field.scaled[1]
+    assert min(factors) < 0.0 < max(factors) and 0.0 in factors
+    report = _scaled_report_matches_per_node_route(field, T1_SCHEDULE)
+    plus = frozen_residue(base, T1_SCHEDULE).re_pos.value
+    for a, nr in zip(factors, report.per_node):
+        if a < 0.0:
+            assert nr.norms.re_pos.value == 0.0
+            assert abs(nr.norms.re_neg.value - abs(a) * plus) <= 1e-12 * plus
+        elif a == 0.0:
+            for part in _PARTS:
+                assert getattr(nr.norms, part).value == 0.0
+                assert getattr(nr.norms, part).error_bar == 0.0
+
+
+def _zero_crossing_poly(node):
+    return 0.25 + su2_class_cosine(node)
+
+
+def test_diag_signed_su2_modulated_across_zero(su2):
+    field = modulated_field(
+        _zero_crossing_poly, diag_signed_symbol(su2, -3.0), su2.haar_quadrature(2), -3.0
+    )
+    assert min(field.scaled[1]) < 0.0 < max(field.scaled[1])
+    _scaled_report_matches_per_node_route(field, geometric_schedule(8.0, 2.0, 6))
+
+
+def test_dense_su2_base_modulated_across_zero(su2):
+    def ev(xi):
+        rng = np.random.default_rng(xi.label)
+        b = rng.normal(size=(xi.dim, xi.dim)) + 1j * rng.normal(size=(xi.dim, xi.dim))
+        return b / np.linalg.norm(b, 2) * xi.weight**-3.0
+
+    base = dense_symbol(su2, ev, DecayEnvelope(1.0, -3.0), check=False)
+    field = modulated_field(_zero_crossing_poly, base, su2.haar_quadrature(2), -3.0)
+    report = _scaled_report_matches_per_node_route(field, geometric_schedule(4.0, 2.0, 4))
+    assert all(getattr(report.per_node[0].norms, part).value > 0.0 for part in _PARTS)
+
+
+def test_complex_modulation_keeps_the_per_node_route(t1):
+    field = modulated_field(
+        lambda x: (2.0 + math.cos(float(x[0]))) * complex(math.cos(x[0]), math.sin(x[0])),
+        weight_power_symbol(t1, 1.0, -1.0),
+        t1.haar_quadrature(4),
+        -1.0,
+    )
+    assert field.scaled is None
+    report = wodzicki_residue(field, T1_SCHEDULE)
+    for sym, nr in zip(field.node_symbols, report.per_node):
+        want = frozen_residue(sym, T1_SCHEDULE)
+        for part in _PARTS:
+            assert getattr(nr.norms, part) == getattr(want, part)
+
+
+def test_real_modulation_sums_the_dual_once(su2):
+    calls = [0]
+
+    def diag(xi):
+        calls[0] += 1
+        signs = np.where(np.arange(xi.dim) % 2 == 0, 1.0, -1.0)
+        return (xi.weight**-3.0 * signs).astype(complex)
+
+    base = diagonal_symbol(su2, diag, DecayEnvelope(1.0, -3.0), check=False)
+    quad = su2.haar_quadrature(4)
+    field = modulated_field(lambda g: 2.0 + su2_class_cosine(g), base, quad, -3.0)
+    assert len(field.node_symbols) == 64
+    schedule = geometric_schedule(8.0, 2.0, 5)
+    one_pass = sum(len(chunk) for chunk in su2.dual_chunks(0.0, schedule[-1]))
+    calls[0] = 0
+    wodzicki_residue(field, schedule)
+    assert calls[0] == one_pass
+
+
+@pytest.mark.parametrize(
+    "coeff, amplitude, overflows",
+    [(1e8, 1e300, "four-part partial sums"), (1.0, 3e306, "four-norm slope fit")],
+)
+def test_overflowing_scaled_node_raises(t1, coeff, amplitude, overflows):
+    # the base series is finite; a(x) * series, or its slope fit, is not
+    base = weight_power_symbol(t1, coeff, -1.0)
+    field = modulated_field(
+        lambda x: amplitude * (1.0 + 0.5 * math.cos(float(x[0]))), base, t1.haar_quadrature(4), -1.0
+    )
+    assert field.scaled is not None
+    assert np.all(np.isfinite(four_part_series(base, T1_SCHEDULE)))
+    with pytest.raises(NumericalFailureError, match=f"non-finite {overflows}"):
+        wodzicki_residue(field, T1_SCHEDULE)
+
+
+def test_scaled_field_validates_its_base(t1, su2):
+    quad = t1.haar_quadrature(2)
+    base = weight_power_symbol(t1, 1.0, -1.0)
+    nodes = (scale_symbol(2.0, base), scale_symbol(3.0, base))
+    SymbolField(quad, nodes, -1.0, scaled=(base, (2.0, 3.0)))
+    for scaled in (
+        (base, (2.0,)),
+        (weight_power_symbol(t1, 1.0, -2.0), (2.0, 3.0)),
+        (weight_power_symbol(su2, 1.0, -1.0), (2.0, 3.0)),
+    ):
+        with pytest.raises(InvalidArgumentError):
+            SymbolField(quad, nodes, -1.0, scaled=scaled)
