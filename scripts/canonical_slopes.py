@@ -32,7 +32,6 @@ CASES = [
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--threads", type=int, default=1)
     parser.add_argument("--skip-zeta", action="store_true", help="slopes only")
     args = parser.parse_args()
 
@@ -42,11 +41,11 @@ def main():
     for name, group, alpha, schedule, analytic in CASES:
         sym = weight_power_symbol(group, 1.0, alpha)
         t0 = time.perf_counter()
-        est = estimate_slope(sum_series(sym, schedule, threads=args.threads))
+        est = estimate_slope(sum_series(sym, schedule))
         if args.skip_zeta:
             zv, zb = math.nan, math.nan
         else:
-            zr = zeta_residue(sym, threads=args.threads)
+            zr = zeta_residue(sym)
             zv, zb = zr.value.real, zr.error_bar
         dt = time.perf_counter() - t0
         print(

@@ -26,7 +26,6 @@ CONFIG = {
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--out", default=None, help="report path (default: temp dir)")
-    parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args()
 
     workdir = Path(args.out).parent if args.out else Path(tempfile.mkdtemp())
@@ -34,9 +33,7 @@ def main():
     out_path = Path(args.out) if args.out else workdir / "residue_demo_report.json"
     cfg_path.write_text(json.dumps(CONFIG, indent=2))
 
-    code = cli.main(
-        ["residue", "--config", str(cfg_path), "--out", str(out_path), "--threads", str(args.threads)]
-    )
+    code = cli.main(["residue", "--config", str(cfg_path), "--out", str(out_path)])
     report = json.loads(out_path.read_text())
     value = report["value"]
     print(f"exit code     : {code}")

@@ -286,9 +286,9 @@ def write_series_csv(path: str, series: weakl1.PartialSumSeries) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def _run_weakl1(config: RunConfig, threads: int):
+def _run_weakl1(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
-    series = weakl1.sum_series(sym, config.schedule, mode=config.mode, threads=threads)
+    series = weakl1.sum_series(sym, config.schedule, mode=config.mode)
     if config.mode == "abs":
         est = weakl1.estimate_slope(series)
         value = complex(est.value)
@@ -303,22 +303,18 @@ def _run_weakl1(config: RunConfig, threads: int):
     return value, error, flags, {}, series
 
 
-def _run_zeta(config: RunConfig, threads: int):
+def _run_zeta(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
     zres = zeta.zeta_residue(
-        sym,
-        s_schedule=config.s_schedule,
-        tol=config.zeta_tol,
-        max_cutoff=config.zeta_max_cutoff,
-        threads=threads,
+        sym, s_schedule=config.s_schedule, tol=config.zeta_tol, max_cutoff=config.zeta_max_cutoff
     )
     return complex(zres.value), zres.error_bar, list(zres.flags), {}, None
 
 
-def _run_residue(config: RunConfig, threads: int):
+def _run_residue(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
     field = _build_field(config, sym)
-    report = residue_mod.wodzicki_residue(field, config.schedule, threads=threads)
+    report = residue_mod.wodzicki_residue(field, config.schedule)
     if config.cross_check:
         report = residue_mod.attach_zeta_cross_check(
             report,
@@ -326,7 +322,6 @@ def _run_residue(config: RunConfig, threads: int):
             s_schedule=config.s_schedule,
             tol=config.zeta_tol,
             max_cutoff=config.zeta_max_cutoff,
-            threads=threads,
         )
     extra = {
         "per_node": [
@@ -352,9 +347,9 @@ def _run_residue(config: RunConfig, threads: int):
     return report.residue, report.total_error_bar, list(report.flags), extra, None
 
 
-def _run_sweep(config: RunConfig, threads: int):
+def _run_sweep(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
-    series = weakl1.sum_series(sym, config.schedule, mode="abs", threads=threads)
+    series = weakl1.sum_series(sym, config.schedule, mode="abs")
     rows = _series_rows(series)
     flags: list[str] = []
     if len(rows) >= 2:
@@ -373,15 +368,12 @@ _RUNNERS = {
 }
 
 
-def run_task(
-    config: RunConfig,
-    out_path: Optional[str] = None,
-    threads: Optional[int] = None,
-    verbose: bool = False,
-) -> int:
-    """Execute the configured task and write the report (and series CSV)."""
-    if threads is None:
-        threads = threads_from_environment()
+def run_task(config: RunConfig, out_path: Optional[str] = None, verbose: bool = False) -> int:
+    """Execute the configured task and write the report (and series CSV).
+
+    A numerical failure, including a non-finite value or error bar from any
+    task, writes a flagged report without a value and returns 1.
+    """
     report_path = out_path or config.report_path or "report.json"
     t0 = time.perf_counter()
     document = {
@@ -393,7 +385,9 @@ def run_task(
         "wall_time_ms": 0.0,
     }
     try:
-        value, error, flags, extra, series = _RUNNERS[config.task](config, threads)
+        value, error, flags, extra, series = _RUNNERS[config.task](config)
+        if not (np.isfinite(value) and np.isfinite(error)):
+            raise NumericalFailureError(f"non-finite {config.task} result: {value}, error bar {error}")
     except (InvalidArgumentError, NumericalFailureError, BudgetExceededError) as exc:
         document["flags"] = [f"numerical failure: {exc}"]
         document["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
@@ -445,16 +439,13 @@ def _write_report(path: str, document: dict) -> None:
 
 
 def threads_from_environment() -> int:
-    env = os.environ.get("RESIDUE_THREADS")
-    if env:
-        try:
-            n = int(env)
-        except ValueError as exc:
-            raise ConfigError(f"RESIDUE_THREADS must be an integer, got {env!r}") from exc
-        if n >= 1:
-            return n
-        raise ConfigError("RESIDUE_THREADS must be >= 1")
-    return os.cpu_count() or 1
+    """Always 1: sums run on the calling thread, whatever the environment says.
+
+    Kept only because the benchmark's tracer (``perfbench/tracer.py``) wraps
+    this name; without it every traced result line gains an ``absent`` entry.
+    It goes when the tracer stops targeting it.
+    """
+    return 1
 
 
 class _UsageError(Exception):
@@ -483,7 +474,6 @@ def _build_parser() -> _Parser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to the JSON run configuration")
         p.add_argument("--out", help="report output path (overrides config)")
-        p.add_argument("--threads", type=int, help="worker count (default: RESIDUE_THREADS or all cores)")
         p.add_argument("--verbose", action="store_true")
     return parser
 
@@ -503,14 +493,11 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         config = parse_config(raw, task_override=args.command)
-        threads = args.threads if args.threads is not None else threads_from_environment()
-        if threads < 1:
-            raise ConfigError("--threads must be >= 1")
     except ConfigError as exc:
         parser.print_usage(sys.stderr)
         print(f"ncres: config error: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    return run_task(config, out_path=args.out, threads=threads, verbose=args.verbose)
+    return run_task(config, out_path=args.out, verbose=args.verbose)
 
 
 if __name__ == "__main__":

@@ -110,8 +110,7 @@ class DualChunk:
 
 
 # Chunks are flushed once they collect roughly this many classes.  The
-# partition depends only on the cutoffs, never on worker count, so parallel
-# reductions stay bit-reproducible.
+# partition depends only on the cutoffs, so reductions stay bit-reproducible.
 _CHUNK_TARGET = 1 << 17
 
 # Radial shell blocks, likewise fixed by the cutoffs alone, are kept

@@ -99,9 +99,9 @@ class ResidueReport:
     cross_check: Optional[CrossCheck] = None
 
 
-def four_part_series(sym: MatrixSymbol, schedule, threads: int = 1):
+def four_part_series(sym: MatrixSymbol, schedule):
     """Cumulative partial-sum series of the four signed parts, shape (J, 4)."""
-    annuli = dualsum.annulus_sums(sym, schedule, "four", threads=threads)
+    annuli = dualsum.annulus_sums(sym, schedule, "four")
     return dualsum.cumulative_sums(annuli)
 
 
@@ -109,28 +109,32 @@ def _four_norms(series: np.ndarray, schedule) -> FourNorms:
     if not np.all(np.isfinite(series)):
         raise NumericalFailureError("non-finite four-part partial sums")
     cutoffs = np.asarray(schedule, dtype=np.float64)
-    norms = FourNorms(
-        *(
-            estimate_slope(weakl1.PartialSumSeries(cutoffs, series[:, c].copy(), "abs"))
-            for c in range(4)
+    try:
+        norms = FourNorms(
+            *(
+                estimate_slope(weakl1.PartialSumSeries(cutoffs, series[:, c].copy(), "abs"))
+                for c in range(4)
+            )
         )
-    )
+    except NumericalFailureError as exc:
+        raise NumericalFailureError(f"non-finite four-norm slope fit ({exc})") from exc
+    # each fit is finite, but their signed combination can still overflow
     if not (np.isfinite(norms.value) and np.isfinite(norms.error_bar)):
         raise NumericalFailureError("non-finite four-norm slope fit")
     return norms
 
 
-def frozen_residue(sym: MatrixSymbol, schedule, threads: int = 1) -> FourNorms:
+def frozen_residue(sym: MatrixSymbol, schedule) -> FourNorms:
     """Four-norm decomposition of an invariant symbol of critical order."""
     n = sym.group.dim
     if abs(sym.envelope.order + n) > _ORDER_TOL:
         raise InvalidArgumentError(
             f"frozen residue needs order {-n}, envelope declares {sym.envelope.order}"
         )
-    return _four_norms(four_part_series(sym, schedule, threads=threads), schedule)
+    return _four_norms(four_part_series(sym, schedule), schedule)
 
 
-def wodzicki_residue(field: SymbolField, schedule, threads: int = 1) -> ResidueReport:
+def wodzicki_residue(field: SymbolField, schedule) -> ResidueReport:
     """Residue of a degree -n symbol field: Haar integral of frozen residues."""
     n = field.group.dim
     if abs(field.degree + n) > _ORDER_TOL:
@@ -152,7 +156,7 @@ def wodzicki_residue(field: SymbolField, schedule, threads: int = 1) -> ResidueR
         if norms is None:
             series = series_of.get(id(sym))
             if series is None:
-                series = series_of[id(sym)] = four_part_series(sym, schedule, threads=threads)
+                series = series_of[id(sym)] = four_part_series(sym, schedule)
             if a != 1.0:
                 # columns (R+, R-, I+, I-); a negative factor swaps the signs
                 series = abs(a) * (series[:, [1, 0, 3, 2]] if a < 0.0 else series)
@@ -184,10 +188,10 @@ def wodzicki_residue(field: SymbolField, schedule, threads: int = 1) -> ResidueR
     )
 
 
-def residue_from_expansion(expansion: Expansion, schedule, threads: int = 1) -> ResidueReport:
+def residue_from_expansion(expansion: Expansion, schedule) -> ResidueReport:
     """Residue of a classical expansion: only the degree -n component counts."""
     extracted = extract_residue_component(expansion, expansion.group.dim)
-    report = wodzicki_residue(extracted.field, schedule, threads=threads)
+    report = wodzicki_residue(extracted.field, schedule)
     if extracted.flags:
         report = replace(report, flags=extracted.flags + report.flags)
     return report
@@ -199,7 +203,6 @@ def attach_zeta_cross_check(
     s_schedule=None,
     tol: float | None = None,
     max_cutoff: float | None = None,
-    threads: int = 1,
 ) -> ResidueReport:
     """Cross-validate an invariant field against the zeta-residue route.
 
@@ -209,11 +212,7 @@ def attach_zeta_cross_check(
     if not field.invariant:
         return replace(report, flags=report.flags + ("cross-check skipped: field not invariant",))
     zres = zeta.zeta_residue(
-        field.node_symbols[0],
-        s_schedule=s_schedule,
-        tol=tol,
-        max_cutoff=max_cutoff,
-        threads=threads,
+        field.node_symbols[0], s_schedule=s_schedule, tol=tol, max_cutoff=max_cutoff
     )
     allow = report.total_error_bar + zres.error_bar + 0.02 * max(
         abs(report.residue), abs(zres.value)

@@ -9,7 +9,7 @@ are trusted but spot-checked on a prefix of the dual at construction time.
 
 Symbols are evaluators, not tables: the dual is unbounded, so values are
 computed on demand.  Evaluators must be pure, which keeps every reduction
-over the dual reproducible and safe to parallelize.
+over the dual reproducible.
 
 An x-dependent homogeneous component is represented by a ``SymbolField``:
 one frozen symbol per Haar quadrature node.  ``Expansion`` stacks such

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualsum
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NumericalFailureError
 from .symbols import MatrixSymbol
 
 NON_CLASSICAL_FLAG = "non-classical behavior"
@@ -68,17 +68,17 @@ class SlopeEstimate:
     flags: tuple = ()
 
 
-def partial_sum(sym: MatrixSymbol, cutoff: float, mode: str = "abs", threads: int = 1):
+def partial_sum(sym: MatrixSymbol, cutoff: float, mode: str = "abs"):
     """S(cutoff): real for mode "abs", complex for mode "signed"."""
     if cutoff < 1.0:
         raise InvalidArgumentError(f"cutoff must be >= 1, got {cutoff}")
     if mode not in ("abs", "signed"):
         raise InvalidArgumentError(f"mode must be 'abs' or 'signed', got {mode!r}")
-    total = dualsum.annulus_sums(sym, [cutoff], mode, threads=threads)[0, 0]
+    total = dualsum.annulus_sums(sym, [cutoff], mode)[0, 0]
     return float(total.real) if mode == "abs" else complex(total)
 
 
-def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs", threads: int = 1) -> PartialSumSeries:
+def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs") -> PartialSumSeries:
     """Incremental partial sums over a strictly increasing cutoff schedule.
 
     Each dual class is evaluated once, inside the first annulus containing
@@ -86,7 +86,7 @@ def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs", threads: int = 1)
     """
     if mode not in ("abs", "signed"):
         raise InvalidArgumentError(f"mode must be 'abs' or 'signed', got {mode!r}")
-    annuli = dualsum.annulus_sums(sym, schedule, mode, threads=threads)
+    annuli = dualsum.annulus_sums(sym, schedule, mode)
     cum = dualsum.cumulative_sums(annuli)[:, 0]
     values = np.real(cum).copy() if mode == "abs" else cum
     return PartialSumSeries(np.asarray(schedule, dtype=np.float64), values, mode)
@@ -107,7 +107,8 @@ def estimate_slope(series: PartialSumSeries) -> SlopeEstimate:
     and twice the maximum fit residual divided by the window log-span; when
     the series is too short to shift, only the residual term is used.
     Residuals above 10% of |slope| * log-span flag non-classical behavior
-    (the symbol is not of critical order).
+    (the symbol is not of critical order).  A non-finite slope or error bar
+    (the fit overflowed) raises NumericalFailureError.
     """
     vals = np.real(np.asarray(series.values, dtype=np.complex128))
     cutoffs = np.asarray(series.cutoffs, dtype=np.float64)
@@ -125,6 +126,8 @@ def estimate_slope(series: PartialSumSeries) -> SlopeEstimate:
     if first >= 1:
         shifted, _ = _fit(logs[first - 1 : k - 1], vals[first - 1 : k - 1])
         bar = max(abs(slope - shifted), bar)
+    if not (np.isfinite(slope) and np.isfinite(bar)):
+        raise NumericalFailureError(f"non-finite slope fit: slope {slope:g}, error bar {bar:g}")
     flags = ()
     if resid > 0.1 * abs(slope) * span:
         flags = (NON_CLASSICAL_FLAG,)

@@ -101,7 +101,6 @@ def zeta_trace(
     start_cutoff: float = DEFAULT_START_CUTOFF,
     max_cutoff: float | None = None,
     min_cutoff: float | None = None,
-    threads: int = 1,
 ) -> ZetaSample:
     """Truncated evaluation of f(-s) = sum d * Tr sigma * weight**(-s).
 
@@ -130,7 +129,7 @@ def zeta_trace(
     hi = float(start_cutoff)
     best = None
     while True:
-        acc += complex(dualsum.annulus_sums(sym, [hi], "zeta", s, threads, lo=lo)[0, 0])
+        acc += complex(dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0, 0])
         model = tail_model(hi)
         bound = TAIL_SAFETY_FACTOR * model
         mag = abs(acc)
@@ -171,7 +170,6 @@ def zeta_residue(
     tol: float | None = None,
     start_cutoff: float = DEFAULT_START_CUTOFF,
     max_cutoff: float | None = None,
-    threads: int = 1,
 ) -> ZetaResidue:
     """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+."""
     _check_critical_order(sym)
@@ -185,7 +183,7 @@ def zeta_residue(
     if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])) or min(s_schedule) <= 0.0:
         raise InvalidArgumentError("s schedule must be strictly decreasing and positive")
     samples = tuple(
-        zeta_trace(sym, s, tol, start_cutoff=start_cutoff, max_cutoff=max_cutoff, threads=threads)
+        zeta_trace(sym, s, tol, start_cutoff=start_cutoff, max_cutoff=max_cutoff)
         for s in s_schedule
     )
     tail = samples[-3:]

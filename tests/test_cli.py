@@ -36,7 +36,7 @@ def _mask_wall_time(text):
 def test_su2_weakl1_task(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json", SU2_WEAKL1)
     out = str(tmp_path / "report.json")
-    code = cli.main(["weakl1", "--config", cfg, "--out", out, "--threads", "1"])
+    code = cli.main(["weakl1", "--config", cfg, "--out", out])
     assert code == 0
     report = json.loads(open(out).read())
     assert report["task"] == "weakl1"
@@ -48,7 +48,7 @@ def test_su2_weakl1_task(tmp_path):
 def test_torus_residue_task(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json", TORUS_RESIDUE)
     out = str(tmp_path / "report.json")
-    code = cli.main(["residue", "--config", cfg, "--out", out, "--threads", "1"])
+    code = cli.main(["residue", "--config", cfg, "--out", out])
     assert code == 0
     report = json.loads(open(out).read())
     assert abs(report["value"]["re"] - 4.0) <= 0.08
@@ -128,8 +128,22 @@ def test_overflowing_sum_exits_one(tmp_path):
     payload["symbol"]["alpha"] = 400.0
     cfg = _write_config(tmp_path, "cfg.json", payload)
     out = str(tmp_path / "report.json")
-    code = cli.main(["weakl1", "--config", cfg, "--out", out, "--threads", "1"])
+    code = cli.main(["weakl1", "--config", cfg, "--out", out])
     assert code == 1
+    report = json.loads(open(out).read())
+    assert report["value"] is None
+    assert any("non-finite" in f for f in report["flags"])
+
+
+@pytest.mark.parametrize("task", ["weakl1", "sweep", "residue"])
+def test_overflowing_slope_fit_exits_one(tmp_path, task):
+    # the partial sums of 1e307 * <xi>^-3 are finite; their slope fit is not
+    payload = json.loads(json.dumps(SU2_WEAKL1))
+    payload["task"] = task
+    payload["symbol"]["coeff_re"] = 1e307
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    assert cli.main([task, "--config", cfg, "--out", out]) == 1
     report = json.loads(open(out).read())
     assert report["value"] is None
     assert any("non-finite" in f for f in report["flags"])
@@ -143,7 +157,7 @@ def test_overflowing_modulated_residue_exits_one(tmp_path, coeff, amplitude):
     payload["modulation"]["coefficients"] = [amplitude, 0.5 * amplitude]
     cfg = _write_config(tmp_path, "cfg.json", payload)
     out = str(tmp_path / "report.json")
-    code = cli.main(["residue", "--config", cfg, "--out", out, "--threads", "1"])
+    code = cli.main(["residue", "--config", cfg, "--out", out])
     assert code == 1
     report = json.loads(open(out).read())
     assert report["value"] is None
@@ -242,9 +256,9 @@ def test_report_round_trips(tmp_path):
 def test_reports_byte_identical_across_reruns_and_threads(tmp_path):
     cfg = _write_config(tmp_path, "cfg.json", TORUS_RESIDUE)
     texts = []
-    for i, threads in enumerate(("1", "2", "4")):
+    for i in range(3):
         out = str(tmp_path / f"report_{i}.json")
-        cli.main(["residue", "--config", cfg, "--out", out, "--threads", threads])
+        cli.main(["residue", "--config", cfg, "--out", out])
         texts.append(_mask_wall_time(open(out).read()))
     assert texts[0] == texts[1] == texts[2]
 
@@ -282,12 +296,15 @@ def test_diag_signed_family(tmp_path):
     assert abs(report["value"]["re"] - 1.0) <= 0.02
 
 
-def test_env_var_threads(tmp_path, monkeypatch):
-    monkeypatch.setenv("RESIDUE_THREADS", "2")
-    assert cli.threads_from_environment() == 2
-    monkeypatch.setenv("RESIDUE_THREADS", "zero")
-    with pytest.raises(cli.ConfigError):
-        cli.threads_from_environment()
+def test_env_var_threads(monkeypatch):
+    # sums run on the calling thread; the environment no longer picks a count
+    monkeypatch.setenv("RESIDUE_THREADS", "8")
+    assert cli.threads_from_environment() == 1
+
+
+def test_threads_flag_is_a_usage_error(tmp_path):
+    cfg = _write_config(tmp_path, "cfg.json", SU2_WEAKL1)
+    assert cli.main(["weakl1", "--config", cfg, "--threads", "2"]) == 64
 
 
 def test_class_poly_modulation(tmp_path, su2):

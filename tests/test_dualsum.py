@@ -76,19 +76,20 @@ def _representations(group, coeff, alpha):
 
 @given(
     group=st.sampled_from(sorted(_GROUPS)),
-    mode=st.sampled_from(["abs", "signed", "four", "zeta"]),
+    mode=st.sampled_from(["abs", "signed", "four"]),
+    s=st.sampled_from([0.0, 0.5]),
     modulus=st.floats(0.5, 2.0),
     phase=st.one_of(
         st.sampled_from([0.0, 0.5 * np.pi, np.pi, 1.5 * np.pi]), st.floats(0.0, 2.0 * np.pi)
     ),
     alpha=st.sampled_from([-1.0, -2.0, -3.0, -1.5]),
 )
-@example(group="SU2", mode="abs", modulus=1.0, phase=0.5 * np.pi, alpha=-3.0)
-def test_structure_tag_does_not_change_annulus_sums(group, mode, modulus, phase, alpha):
+@example(group="SU2", mode="abs", s=0.0, modulus=1.0, phase=0.5 * np.pi, alpha=-3.0)
+def test_structure_tag_does_not_change_annulus_sums(group, mode, s, modulus, phase, alpha):
     grp, schedule = _GROUPS[group]
     coeff = complex(modulus * np.cos(phase), modulus * np.sin(phase))
     ref, *others = (
-        dualsum.annulus_sums(sym, schedule, mode, s=0.5)
+        dualsum.annulus_sums(sym, schedule, mode, s=s)
         for sym in _representations(grp, coeff, alpha)
     )
     atol = 1e-9 * np.max(np.abs(ref))
@@ -130,17 +131,12 @@ def test_dense_su2_to_256_matches_diagonal(dense_four):
 
 
 # Dense classes run with numpy's bundled OpenBLAS on one thread, so the sums
-# to N = 256 are bit-identical for any worker or BLAS thread count.
+# to N = 256 are bit-identical for any BLAS thread count.
 
 
-def dense_four_norm_bits(threads=1):
+def dense_four_norm_bits():
     """Hex of the dense four-norm annulus sums to N = 256 (also run in subprocesses)."""
-    out = dualsum.annulus_sums(_dense_pattern_symbol(), _DENSE_SCHEDULE, "four", threads=threads)
-    return out.tobytes().hex()
-
-
-def test_dense_four_norms_bit_identical_across_worker_threads(dense_four):
-    assert dense_four_norm_bits(threads=2) == dense_four.tobytes().hex()
+    return dualsum.annulus_sums(_dense_pattern_symbol(), _DENSE_SCHEDULE, "four").tobytes().hex()
 
 
 def _bits_with_blas_threads(n):
@@ -190,14 +186,6 @@ def test_overflowing_torus3_shell_sum_raises():
         sum_series(weight_power_symbol(Torus(3), 1.0, 400.0), geometric_schedule(16, 2, 4))
 
 
-def test_torus3_shell_series_bit_identical_across_worker_threads():
-    # to N = 256 the last annuli span several shell blocks
-    sym = weight_power_symbol(Torus(3), 1.0, -3.0)
-    schedule = geometric_schedule(4.0, 2.0, 7)
-    one = sum_series(sym, schedule, threads=1).values
-    assert one.tobytes() == sum_series(sym, schedule, threads=3).values.tobytes()
-
-
 def test_radial_sums_never_enumerate_the_dual(monkeypatch):
     def no_enumeration(self, lo, hi):
         raise AssertionError("radial symbol enumerated the dual")
@@ -205,52 +193,26 @@ def test_radial_sums_never_enumerate_the_dual(monkeypatch):
     for group in (Torus(1), Torus(2), Torus(3), SU2()):
         monkeypatch.setattr(type(group), "dual_chunks", no_enumeration)
         sym = weight_power_symbol(group, 1.0, -group.dim)
-        for mode in ("abs", "signed", "four", "zeta"):
+        for mode in ("abs", "signed", "four"):
             assert np.all(np.isfinite(dualsum.annulus_sums(sym, [4.0, 8.0], mode, s=0.5)))
         zeta_trace(sym, 1.6, 0.35)
 
 
 def test_lower_bound_starts_the_first_annulus():
     sym = weight_power_symbol(Torus(2), 1.0 + 0.5j, -2.0)
-    whole = dualsum.annulus_sums(sym, [4.0, 8.0, 16.0], "zeta", s=0.5)
-    tail = dualsum.annulus_sums(sym, [8.0, 16.0], "zeta", s=0.5, lo=4.0)
+    whole = dualsum.annulus_sums(sym, [4.0, 8.0, 16.0], "signed", s=0.5)
+    tail = dualsum.annulus_sums(sym, [8.0, 16.0], "signed", s=0.5, lo=4.0)
     assert np.array_equal(tail, whole[1:])
     with pytest.raises(InvalidArgumentError):
-        dualsum.annulus_sums(sym, [4.0], "zeta", s=0.5, lo=4.0)
+        dualsum.annulus_sums(sym, [4.0], "signed", s=0.5, lo=4.0)
+    # the zeta trace is the signed mode with s > 0, not a mode of its own
+    with pytest.raises(InvalidArgumentError, match="unknown reduction mode"):
+        dualsum.annulus_sums(sym, [4.0], "zeta", s=0.5)
 
 
 def test_non_finite_zeta_sample_raises():
     nan_diag = diagonal_symbol(
         SU2(), lambda xi: np.full(xi.dim, np.nan + 0j), DecayEnvelope(1.0, -3.0), check=False
     )
-    with pytest.raises(NumericalFailureError, match="non-finite zeta sum"):
+    with pytest.raises(NumericalFailureError, match="non-finite signed sum"):
         zeta_trace(nan_diag, 0.8, 0.1)
-
-
-@pytest.mark.parametrize("threads", [2, 3])
-def test_worker_threads_pull_blocks_within_a_bounded_window(monkeypatch, threads):
-    # blocks are pulled at most threads + 1 ahead of the Kahan accumulation
-    group = Torus(1)
-    real_shells = type(group).radial_shells
-    added = [0]
-    lead = []
-
-    def counted_shells(self, lo, hi):
-        for k, block in enumerate(real_shells(self, lo, hi)):
-            lead.append(k + 1 - added[0])
-            yield block
-
-    real_add = dualsum._Kahan.add
-
-    def counted_add(self, part):
-        added[0] += 1
-        real_add(self, part)
-
-    sym = weight_power_symbol(group, 1.0, -1.0)
-    one = dualsum.annulus_sums(sym, [2.0**19], "four", threads=1)
-    monkeypatch.setattr(type(group), "radial_shells", counted_shells)
-    monkeypatch.setattr(dualsum._Kahan, "add", counted_add)
-    many = dualsum.annulus_sums(sym, [2.0**19], "four", threads=threads)
-    assert len(lead) >= 4 * threads
-    assert max(lead) <= threads + 1
-    assert one.tobytes() == many.tobytes()

