@@ -73,11 +73,14 @@ def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
     if mode == "abs":
         return np.array([matcalc.trace_norm(mat)])
     # Re sigma and Im sigma in one eigensolve, which also checks that sigma
-    # is finite.  As in matcalc.split_eigenvalues, eigenvalues within
+    # is finite; both are Hermitian in floating point by construction.  As
+    # in matcalc.split_eigenvalues, eigenvalues within
     # ZERO_EIGENVALUE_FACTOR * ||H||_F of zero count as zero; for Hermitian
     # H, ||H||_F is the 2-norm of its spectrum.
     adj = mat.conj().T
-    eig = matcalc.hermitian_eigenvalues(np.stack((0.5 * (mat + adj), -0.5j * (mat - adj))))
+    eig = matcalc.hermitian_eigenvalues(
+        np.stack((0.5 * (mat + adj), -0.5j * (mat - adj))), assume_hermitian=True
+    )
     thr = matcalc.ZERO_EIGENVALUE_FACTOR * np.linalg.norm(eig, axis=-1, keepdims=True)
     return np.where(np.abs(eig) > thr, eig, 0.0)
 

@@ -1,6 +1,6 @@
 """Compact-group models: unitary duals, counting bounds, Haar quadrature.
 
-A group model provides the four ingredients the rest of the package needs:
+A group model provides the five ingredients the rest of the package needs:
 
 * enumeration of the unitary dual up to an elliptic-weight cutoff, in a
   fixed canonical order so that floating-point reductions are reproducible
@@ -8,6 +8,9 @@ A group model provides the four ingredients the rest of the package needs:
 * an upper bound for the spectral counting function ``sum_{<xi><=t} d^2``
   together with the leading coefficient of its derivative, used by
   truncation-tail models,
+* the shell density d mu/dw, whose integral over an annulus is the
+  continuum limit of ``sum d^2`` over its classes (used by integrated
+  radial tails),
 * quadrature rules for the normalized Haar measure (total mass one),
 * radial shells: the distinct elliptic weights of an annulus with their
   exact multiplicities ``sum d^2`` (torus: r_n(k), the number of ways to
@@ -141,6 +144,15 @@ class GroupModel:
         """
         raise NotImplementedError
 
+    def shell_density(self, w: np.ndarray) -> np.ndarray:
+        """Density d mu/dw of the counting measure in the elliptic weight.
+
+        mu(t) is the smooth counterpart of sum_{<xi><=t} d^2.  Defined for
+        w > 1; it grows like density_coeff * w**(n-1), and no intermediate
+        grows faster, so it overflows only where w**(n-1) does.
+        """
+        raise NotImplementedError
+
     def dual_elements(self, cutoff: float) -> list[DualElement]:
         if cutoff < 1.0:
             raise InvalidArgumentError(f"dual cutoff must be >= 1, got {cutoff}")
@@ -229,6 +241,13 @@ class Torus(GroupModel):
 
     def counting_envelope(self, t: float) -> float:
         return UNIT_BALL_VOLUME[self.n] * (t + math.sqrt(self.n)) ** self.n
+
+    def shell_density(self, w: np.ndarray) -> np.ndarray:
+        # Lebesgue measure of {xi in R^n : sqrt(1 + |xi|^2) <= w}, differentiated:
+        # n omega_n w (w^2 - 1)^(n/2 - 1), written so that no power of w above
+        # w**(n-1) is formed.
+        n = self.n
+        return sphere_surface(n) * w ** (n - 1) * (1.0 - w**-2.0) ** (n / 2.0 - 1.0)
 
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
         qlo = lo * lo  # exclusive bound on q = 1 + |xi|^2
@@ -341,6 +360,10 @@ class SU2(GroupModel):
 
     def counting_envelope(self, t: float) -> float:
         return float(t) ** 3
+
+    def shell_density(self, w: np.ndarray) -> np.ndarray:
+        # d^2 = w^2 per unit step of the weight w = ell + 1
+        return w * w
 
     @staticmethod
     def _levels(lo: float, hi: float) -> Iterator[np.ndarray]:

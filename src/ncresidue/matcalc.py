@@ -3,8 +3,9 @@
 Hermitian eigenproblems go to ``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK
 ``zheevd``).  ``hermitian_eigenvalues`` takes a ``(..., d, d)`` stack and
 validates it once -- square, finite, and Hermitian within
-HERMITIAN_TOLERANCE * (1 + ||A||_F) per matrix -- before one LAPACK call, so
-several matrices of one dimension take one call.  A LAPACK convergence
+HERMITIAN_TOLERANCE * (1 + ||A||_F) per matrix, or only square and finite
+for stacks Hermitian by construction -- before one LAPACK call, so several
+matrices of one dimension take one call.  A LAPACK convergence
 failure surfaces as NumericalFailureError.
 
 On top of the eigensolver sit the decompositions used throughout:
@@ -151,9 +152,15 @@ def hermitian_eig(h) -> HermEig:
     return HermEig(vals, vecs)
 
 
-def hermitian_eigenvalues(h) -> np.ndarray:
-    """Ascending eigenvalues of each matrix of a (..., d, d) Hermitian stack."""
-    return _lapack(np.linalg.eigvalsh, check_hermitian(h))
+def hermitian_eigenvalues(h, assume_hermitian: bool = False) -> np.ndarray:
+    """Ascending eigenvalues of each matrix of a (..., d, d) Hermitian stack.
+
+    ``assume_hermitian`` is for stacks that are Hermitian in floating point
+    by construction, such as (T + T*)/2 and (T - T*)/(2i): only finiteness
+    is checked.
+    """
+    a = _as_square(h) if assume_hermitian else check_hermitian(h)
+    return _lapack(np.linalg.eigvalsh, a)
 
 
 def trace_norm(t) -> np.ndarray:

@@ -2,42 +2,73 @@
 
 For an invariant symbol of critical order -n the weighted trace
 f(-s) = sum over the dual of d * Tr sigma * weight**(-s) converges for
-s > 0 and develops a simple pole C/s as s -> 0+; the residue of interest is
-C = lim s * f(-s).  Samples of f are computed by truncating the dual sum at
-a cutoff N chosen so that the envelope tail bound
+s > 0 and has a simple pole C/s at s = 0; the residue of interest is
+C = lim s * f(-s).  A sample of f at a cutoff N is a partial sum plus a
+model of the tail beyond it; the cutoff doubles until the sample's bound
+falls below tol * max(1, |partial|).  There are two routes to a sample.
 
-    tail_bound(N) = 2 * c * rho * N**(-s) / s
+Scalar symbols (a radial profile p of the weight): the partial sum is
+smoothed, sum d^2 p(w) w^-s psi(w/N) with a C^inf step psi that is 1 on
+[0, 1/2] and 0 on [1, inf), and the tail is the integral
 
-falls below tol * max(1, |partial|); here c is the symbol's declared
-envelope constant and rho the leading counting-density coefficient of the
-group (vol(S^(n-1)) on the torus, 1 on SU(2), where the counting function
-grows like t^3/3).  The uninflated tail integral c * rho * N**(-s)/s is
-added back to the partial sum as a correction, steered by the phase of the
-partial sum so that phase rotations of the symbol commute with sampling;
-for envelope-saturating positive symbols this cancels the truncation error
-to O(N**(-s-1)).
+    int p(w) w^-s (1 - psi(w/N)) dmu(w)
 
-The residue is then read off by extrapolating g(s) = s * f(-s), which is
-affine in s near zero, linearly to s = 0 over the three smallest samples.
-The error bar combines extrapolant stability with the tail bounds
-propagated through the extrapolation weights.  A quadratic fit deviating by
-more than 10% flags a higher-order pole or a symbol of the wrong order.
+against the group's shell density (``GroupModel.shell_density``).  Its
+integrand is smooth on the scale N, so the lattice sum it stands for
+differs from it by less than any power of N (Poisson summation on the
+torus, Euler-Maclaurin on SU(2)).  The integral is summed by Gauss-Legendre
+on [N/2, N], by Legendre panels in u = log(w/N) up to W = N e^U, and past W
+by the leading power law p(W) W^n rho W^-s / s.  The bound is
+TAIL_SAFETY_FACTOR times the change from the previous sample, plus the
+change between two quadrature orders, plus the change of p(w) w^n over the
+last panel; the first sample has no bound.  Samples settle near N = 128 on
+every group, so s can go down to 0.05.
+
+Diagonal and dense symbols: the sum is truncated sharply at N and the tail
+is modelled from the declared envelope as c * rho * N**(-s) / s, with rho
+the leading counting-density coefficient of the group (vol(S^(n-1)) on the
+torus, 1 on SU(2)).  The model is added back steered by the phase of the
+partial sum, so that phase rotations of the symbol commute with sampling,
+and bounded by TAIL_SAFETY_FACTOR times itself.  Small s needs huge cutoffs
+here, which is why these symbols keep the cutoff budgets and the short s
+schedules of ``default_max_cutoff`` and ``default_s_schedule``.
+
+Both routes read the residue off alike: g(s) = s * f(-s) is interpolated by
+the quadratic through the three smallest s and evaluated at 0.  The error
+bar is its distance from the line through the two smallest s, plus the
+sample bounds propagated through the quadratic's weights at 0.  A
+least-squares line through the same three points deviating by more than 10%
+flags a higher-order pole or a symbol of the wrong order.
 """
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dualsum
-from .errors import BudgetExceededError, InvalidArgumentError
+from .errors import BudgetExceededError, InvalidArgumentError, NumericalFailureError
 from .groups import GroupModel
-from .symbols import MatrixSymbol
+from .symbols import MatrixSymbol, scalar_symbol
 
 DEFAULT_START_CUTOFF = 16.0
 TAIL_SAFETY_FACTOR = 2.0
 _ORDER_TOL = 1e-9
+
+# Scalar symbols: the integrated tail makes small s and tight tolerances cheap.
+RADIAL_S_SCHEDULE = (0.2, 0.1, 0.05)
+RADIAL_TOLERANCE = 1e-10
+
+# The integrated radial tail: Gauss-Legendre orders on [N/2, N] and per
+# panel of u = log(w/N) in [0, _LOG_SPAN]; the first order of each pair
+# checks the second.
+_STEP_NODES = (48, 64)
+_LOG_SPAN = 40.0
+_LOG_PANELS = 10
+_PANEL_NODES = (16, 24)
 
 _TORUS_MAX_CUTOFF = {1: float(2**24), 2: float(2**11), 3: float(2**10)}
 
@@ -50,12 +81,10 @@ def default_max_cutoff(group: GroupModel) -> float:
 
 
 def default_s_schedule(group: GroupModel):
-    """Evaluation points for the residue extrapolation, largest first.
+    """Evaluation points of the envelope route, largest first.
 
     Smaller s means slower N**(-s) tail decay; on T^2 and T^3 the cutoff
-    budget caps how small s can get.  Where the budget allows, the trailing
-    points are packed close to zero to shrink the curvature bias of the
-    linear extrapolation.
+    budget caps how small s can get.  Scalar symbols use RADIAL_S_SCHEDULE.
     """
     if group.name == "SU2" or group.dim == 1:
         return [1.6, 0.8, 0.4, 0.3, 0.2]
@@ -63,12 +92,13 @@ def default_s_schedule(group: GroupModel):
 
 
 def default_tolerance(group: GroupModel) -> float:
+    """Sample tolerance of the envelope route; scalar symbols use RADIAL_TOLERANCE."""
     return 0.35 if (group.name != "SU2" and group.dim == 3) else 0.1
 
 
 @dataclass(frozen=True)
 class ZetaSample:
-    """One truncated evaluation of f(-s) with its tail correction."""
+    """One evaluation of f(-s): partial sum plus tail correction, and its bound."""
 
     s: float
     value: complex
@@ -94,6 +124,137 @@ def _check_critical_order(sym: MatrixSymbol) -> None:
         )
 
 
+def _cutoffs(start: float, max_cutoff: float):
+    """start, 2 * start, ... clamped to and ending at max_cutoff."""
+    hi = float(start)
+    while True:
+        yield hi
+        if hi >= max_cutoff:
+            return
+        hi = min(hi * 2.0, float(max_cutoff))
+
+
+def _signed_sum(sym: MatrixSymbol, lo: float, hi: float, s: float) -> complex:
+    return complex(dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0, 0])
+
+
+def _envelope_samples(sym: MatrixSymbol, s: float, cutoffs):
+    """Sharp partial sums with the envelope tail model added back."""
+    rho = sym.group.density_coeff
+    c_env = sym.envelope.constant
+    acc = complex(0.0)
+    lo = 0.0
+    for hi in cutoffs:
+        acc += _signed_sum(sym, lo, hi, s)
+        model = c_env * rho * hi ** (-s) / s
+        mag = abs(acc)
+        phase = acc / mag if mag > 0.0 else complex(1.0)
+        yield ZetaSample(
+            s=float(s),
+            value=acc + model * phase,
+            truncation_cutoff=hi,
+            tail_bound=TAIL_SAFETY_FACTOR * model,
+            partial=acc,
+            tail_correction=model * phase,
+        )
+        lo = hi
+
+
+def _step_parts(t: np.ndarray):
+    """(psi(t), 1 - psi(t)) with psi(t) = h(2 - 2t) / (h(2 - 2t) + h(2t - 1)).
+
+    h(x) = exp(-1/x) for x > 0 and 0 otherwise; both parts are formed as
+    quotients, so neither loses digits to cancellation.
+    """
+    def h(x):
+        pos = x > 0.0
+        return np.where(pos, np.exp(-1.0 / np.where(pos, x, 1.0)), 0.0)
+
+    a, b = h(2.0 - 2.0 * t), h(2.0 * t - 1.0)
+    return a / (a + b), b / (a + b)
+
+
+@functools.cache
+def _unit_gauss(m: int):
+    """Gauss-Legendre nodes and weights on [0, 1] (shared; never written)."""
+    x, wx = np.polynomial.legendre.leggauss(m)
+    return 0.5 * (x + 1.0), 0.5 * wx
+
+
+def _tail_rule(group: GroupModel, s: float, cut: float, step_nodes: int, panel_nodes: int):
+    """Nodes w and weights q with sum q * p(w) = the tail integral short of W."""
+    x, wx = _unit_gauss(step_nodes)
+    w1 = cut * (0.5 + 0.5 * x)
+    q1 = 0.5 * cut * wx * w1 ** (-s) * _step_parts(w1 / cut)[1] * group.shell_density(w1)
+    y, wy = _unit_gauss(panel_nodes)
+    width = _LOG_SPAN / _LOG_PANELS
+    u = width * (np.arange(_LOG_PANELS)[:, None] + y).ravel()
+    w2 = cut * np.exp(u)
+    # w**(-s) as cut**(-s) * exp(-s u): w2 itself stays far below overflow
+    q2 = width * np.tile(wy, _LOG_PANELS) * cut ** (-s) * np.exp(-s * u) * group.shell_density(w2) * w2
+    return np.concatenate((w1, w2)), np.concatenate((q1, q2))
+
+
+def _radial_tail(sym: MatrixSymbol, s: float, cut: float):
+    """The integrated tail at the cutoff and the part of its bound it owns.
+
+    Returns (tail, drift): drift is the change between the two quadrature
+    orders plus the change of the power-law amplitude p(w) w^n over the
+    last log panel, both scaled like the terms they come from.
+    """
+    group = sym.group
+    coarse_w, coarse_q = _tail_rule(group, s, cut, _STEP_NODES[0], _PANEL_NODES[0])
+    fine_w, fine_q = _tail_rule(group, s, cut, _STEP_NODES[1], _PANEL_NODES[1])
+    # the last panel's ends; the second is W
+    far_w = cut * np.exp(_LOG_SPAN * np.array([1.0 - 1.0 / _LOG_PANELS, 1.0]))
+    p = sym.radial_profile(np.concatenate((coarse_w, fine_w, far_w)))
+    coarse = p[: coarse_w.size] @ coarse_q
+    fine = p[coarse_w.size : -2] @ fine_q
+    amplitude = p[-2:] * far_w**group.dim
+    far_scale = group.density_coeff * cut ** (-s) * math.exp(-s * _LOG_SPAN) / s
+    tail = complex(fine + amplitude[1] * far_scale)
+    drift = float(abs(fine - coarse) + abs(amplitude[1] - amplitude[0]) * far_scale)
+    return tail, drift
+
+
+def _radial_samples(sym: MatrixSymbol, s: float, cutoffs):
+    """Smoothed partial sums with the integrated radial tail added.
+
+    The sharp sum over weights <= N/2 is kept across cutoffs; the annulus
+    (N/2, N] goes through the same kernel as the scalar symbol p * psi(./N).
+    """
+    profile = sym.radial_fn
+    sharp = complex(0.0)
+    sharp_hi = 0.0
+    prev = None
+    for hi in cutoffs:
+        half = 0.5 * hi
+        if half > sharp_hi:
+            sharp += _signed_sum(sym, sharp_hi, half, s)
+            sharp_hi = half
+        smoothed = scalar_symbol(
+            sym.group,
+            lambda w, hi=hi: profile(w) * _step_parts(w / hi)[0],
+            sym.envelope,
+            check=False,
+        )
+        partial = sharp + _signed_sum(smoothed, half, hi, s)
+        tail, drift = _radial_tail(sym, s, hi)
+        value = partial + tail
+        if not (np.isfinite(value) and math.isfinite(drift)):
+            raise NumericalFailureError(f"non-finite zeta sample at s = {s:g}, cutoff {hi:g}")
+        bound = math.inf if prev is None else TAIL_SAFETY_FACTOR * (abs(value - prev) + drift)
+        yield ZetaSample(
+            s=float(s),
+            value=value,
+            truncation_cutoff=hi,
+            tail_bound=bound,
+            partial=partial,
+            tail_correction=tail,
+        )
+        prev = value
+
+
 def zeta_trace(
     sym: MatrixSymbol,
     s: float,
@@ -102,66 +263,45 @@ def zeta_trace(
     max_cutoff: float | None = None,
     min_cutoff: float | None = None,
 ) -> ZetaSample:
-    """Truncated evaluation of f(-s) = sum d * Tr sigma * weight**(-s).
+    """One sample of f(-s) = sum d * Tr sigma * weight**(-s).
 
-    Doubles the truncation cutoff until the inflated envelope tail bound
-    drops below tol * max(1, |partial|); raises BudgetExceededError (with
-    the best sample attached) if the budget runs out first.  ``min_cutoff``
-    forces a larger truncation than the stopping rule requires, which is
-    useful for verifying the advertised tail bound.
+    Doubles the cutoff until the sample's bound drops below
+    tol * max(1, |partial|); raises BudgetExceededError (with the best
+    sample attached) if the budget runs out first.  ``min_cutoff`` forces a
+    larger cutoff than the stopping rule requires, which is useful for
+    verifying the advertised bound.  Scalar symbols take the smoothed,
+    integrated-tail route, others the envelope route (see the module
+    docstring).
     """
     _check_critical_order(sym)
     if s <= 0.0:
         raise InvalidArgumentError(f"s must be positive, got {s}")
     if tol <= 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
-    group = sym.group
     if max_cutoff is None:
-        max_cutoff = default_max_cutoff(group)
-    rho = group.density_coeff
-    c_env = sym.envelope.constant
-
-    def tail_model(cut: float) -> float:
-        return c_env * rho * cut ** (-s) / s
-
-    acc = complex(0.0)
-    lo = 0.0
-    hi = float(start_cutoff)
-    best = None
-    while True:
-        acc += complex(dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0, 0])
-        model = tail_model(hi)
-        bound = TAIL_SAFETY_FACTOR * model
-        mag = abs(acc)
-        phase = acc / mag if mag > 0.0 else complex(1.0)
-        sample = ZetaSample(
-            s=float(s),
-            value=acc + model * phase,
-            truncation_cutoff=hi,
-            tail_bound=bound,
-            partial=acc,
-            tail_correction=model * phase,
-        )
-        satisfied = bound <= tol * max(1.0, mag)
-        forced = min_cutoff is not None and hi < min_cutoff
-        if satisfied and not forced:
+        max_cutoff = default_max_cutoff(sym.group)
+    route = _radial_samples if sym.radial_fn is not None else _envelope_samples
+    for sample in route(sym, s, _cutoffs(start_cutoff, max_cutoff)):
+        satisfied = sample.tail_bound <= tol * max(1.0, abs(sample.partial))
+        forced = min_cutoff is not None and sample.truncation_cutoff < min_cutoff
+        if satisfied and (not forced or sample.truncation_cutoff >= max_cutoff):
             return sample
-        best = sample
-        if hi >= max_cutoff:
-            if satisfied:
-                return sample
-            raise BudgetExceededError(
-                f"tail bound {bound:.3e} above tolerance at the cutoff budget {max_cutoff:g}",
-                best=best,
-            )
-        lo = hi
-        hi = min(hi * 2.0, float(max_cutoff))
+    raise BudgetExceededError(
+        f"tail bound {sample.tail_bound:.3e} above tolerance at the cutoff budget {max_cutoff:g}",
+        best=sample,
+    )
 
 
 def _intercept_weights(x: np.ndarray) -> np.ndarray:
+    """Weights at 0 of the least-squares line through the points x."""
     xbar = float(np.mean(x))
     sxx = float(np.sum((x - xbar) ** 2))
     return 1.0 / len(x) - xbar * (x - xbar) / sxx
+
+
+def _lagrange_weights(x: np.ndarray) -> np.ndarray:
+    """Weights at 0 of the polynomial interpolating at the points x."""
+    return np.array([np.prod([xj / (xj - xi) for xj in x if xj != xi]) for xi in x])
 
 
 def zeta_residue(
@@ -171,12 +311,18 @@ def zeta_residue(
     start_cutoff: float = DEFAULT_START_CUTOFF,
     max_cutoff: float | None = None,
 ) -> ZetaResidue:
-    """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+."""
+    """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+.
+
+    Defaults depend on the route: RADIAL_S_SCHEDULE and RADIAL_TOLERANCE
+    for scalar symbols, ``default_s_schedule`` and ``default_tolerance`` of
+    the group otherwise.
+    """
     _check_critical_order(sym)
+    radial = sym.radial_fn is not None
     if s_schedule is None:
-        s_schedule = default_s_schedule(sym.group)
+        s_schedule = RADIAL_S_SCHEDULE if radial else default_s_schedule(sym.group)
     if tol is None:
-        tol = default_tolerance(sym.group)
+        tol = RADIAL_TOLERANCE if radial else default_tolerance(sym.group)
     s_schedule = [float(v) for v in s_schedule]
     if len(s_schedule) < 3:
         raise InvalidArgumentError("s schedule needs at least 3 values")
@@ -189,20 +335,17 @@ def zeta_residue(
     tail = samples[-3:]
     sv = np.array([smp.s for smp in tail])
     gv = np.array([smp.s * smp.value for smp in tail], dtype=np.complex128)
-    coef3 = np.polyfit(sv, gv, 1)
-    value = complex(coef3[1])
-    # two-point extrapolant through the two smallest s values
+    weights = _lagrange_weights(sv)
+    value = complex(weights @ gv)
+    # the line through the two smallest s values
     g1, g2 = gv[-1], gv[-2]
     s1, s2 = sv[-1], sv[-2]
-    value2 = complex(g1 - s1 * (g2 - g1) / (s2 - s1))
-    weights = _intercept_weights(sv)
+    line = complex(g1 - s1 * (g2 - g1) / (s2 - s1))
     propagated = float(
         np.sum(np.abs(weights) * np.array([smp.s * smp.tail_bound for smp in tail]))
     )
-    bar = abs(value - value2) + propagated
+    bar = abs(value - line) + propagated
     flags = ()
-    quad = np.polyfit(sv, gv, 2)
-    q0 = complex(quad[2])
-    if abs(q0 - value) > 0.1 * abs(value) + propagated:
+    if abs(value - complex(_intercept_weights(sv) @ gv)) > 0.1 * abs(value) + propagated:
         flags = ("higher-order pole or wrong order",)
     return ZetaResidue(value=value, error_bar=bar, samples=samples, flags=flags)

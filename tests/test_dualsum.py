@@ -178,6 +178,19 @@ def test_non_finite_dense_trace_raises():
         dualsum.annulus_sums(sym, [4.0], "signed")
 
 
+def test_non_finite_dense_four_parts_raise():
+    # Re sigma and Im sigma are not re-validated as Hermitian, but a
+    # non-finite sigma is still refused before the eigensolver
+    def evaluator(xi):
+        mat = np.eye(xi.dim, dtype=complex)
+        mat[0, -1] = np.nan
+        return mat
+
+    sym = dense_symbol(SU2(), evaluator, DecayEnvelope(1.0, -3.0), check=False)
+    with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+        dualsum.annulus_sums(sym, [4.0], "four")
+
+
 def test_overflowing_torus3_shell_sum_raises():
     # the first annulus ends at weight 16, but |xi|^2 = 255 = 8*31 + 7 is no
     # sum of three squares, so its last populated shell has weight sqrt(255)

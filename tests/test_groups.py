@@ -260,6 +260,26 @@ def test_radial_shells_across_block_boundaries(name, monkeypatch):
         assert np.array_equal(weights, ref_w) and np.array_equal(mult, ref_m)
 
 
+@pytest.mark.parametrize("name", ["T1", "T2", "T3", "SU2"])
+def test_shell_density_is_the_derivative_of_the_continuum_count(name):
+    # mu(t) = omega_n (t^2 - 1)^(n/2) on T^n (a ball of radius sqrt(t^2 - 1)),
+    # t^3 / 3 on SU(2) (sum of d^2 = w^2 per unit step of w)
+    group = SU2() if name == "SU2" else Torus(int(name[1]))
+    if name == "SU2":
+        mu = lambda t: t**3 / 3.0
+    else:
+        mu = lambda t: groups.UNIT_BALL_VOLUME[group.dim] * (t * t - 1.0) ** (group.dim / 2.0)
+    a, b = 1.5, 40.0
+    x, wx = np.polynomial.legendre.leggauss(80)
+    w = 0.5 * (a + b) + 0.5 * (b - a) * x
+    integral = 0.5 * (b - a) * np.sum(wx * group.shell_density(w))
+    assert abs(integral - (mu(b) - mu(a))) <= 1e-12 * mu(b)
+    # the leading growth is density_coeff * w^(n-1), and nothing overflows
+    huge = np.array([1e80])
+    lead = group.shell_density(huge)[0] / (group.density_coeff * huge[0] ** (group.dim - 1))
+    assert np.isfinite(lead) and abs(lead - 1.0) <= 1e-12
+
+
 # ---------------------------------------------------------------------------
 # counting envelopes
 

@@ -140,6 +140,23 @@ def test_stack_hermitian_tolerance_is_per_matrix():
         matcalc.hermitian_eigenvalues(np.stack([big, small]))
 
 
+def test_assumed_hermitian_stack_skips_only_the_hermitian_check():
+    rng = np.random.default_rng(23)
+    t = random_complex_matrix(rng, 6)
+    adj = t.conj().T
+    parts = np.stack((0.5 * (t + adj), -0.5j * (t - adj)))
+    # the parts are Hermitian in floating point, so the check changes no bit
+    assert np.array_equal(
+        matcalc.hermitian_eigenvalues(parts, assume_hermitian=True),
+        matcalc.hermitian_eigenvalues(parts),
+    )
+    matcalc.hermitian_eigenvalues(np.stack([t, t]), assume_hermitian=True)  # not checked
+    with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
+        matcalc.hermitian_eigenvalues(np.full((2, 3, 3), np.nan), assume_hermitian=True)
+    with pytest.raises(InvalidArgumentError, match="expected a square matrix"):
+        matcalc.hermitian_eigenvalues(np.zeros((2, 3)), assume_hermitian=True)
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
