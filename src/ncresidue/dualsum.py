@@ -21,6 +21,9 @@ the mode and the factor weights**(-s) is skipped when s == 0:
 * ``four``    d * (Tr R+, Tr R-, Tr I+, Tr I-) with R = Re sigma, I = Im sigma
 
 The zeta trace sum of d * Tr sigma * weight**(-s) is ``signed`` with s > 0.
+In ``signed`` mode s may also be a 1-D array: the block is enumerated and
+evaluated once and weighted per s, one channel per s, each summed along its
+own contiguous row exactly as a single s is.
 The producers of (values, mult, weights) are:
 
 * a shell block of a scalar symbol: the radial profile evaluated once per
@@ -48,16 +51,28 @@ _MODE_CHANNELS = {"abs": 1, "signed": 1, "four": 4}
 _MODE_DTYPE = {"abs": np.float64, "signed": np.complex128, "four": np.float64}
 
 
-def _reduce(values, mult, weights, mode: str, s: float) -> np.ndarray:
+def _decay(weights, s: np.ndarray) -> np.ndarray:
+    """weights**(-s), one row per s, each formed as for that s alone.
+
+    A class weight is a Python float and goes through Python's pow; numpy's
+    pow of an array of s, or of an array exponent, may differ in the last bit.
+    """
+    return np.array([weights ** (-x) for x in s.tolist()]).reshape(len(s), -1)
+
+
+def _reduce(values, mult, weights, mode: str, s) -> np.ndarray:
     """Channel vector of sum mult * f(values) * weights**(-s) over one block.
 
     ``four`` takes complex values or their (real, imaginary) rows as (2, n).
+    For an array s (``signed`` only) the channels are the sums per s.
     """
     if mode == "abs":
         values = np.abs(values)
     elif mode == "four" and values.ndim == 1:
         values = np.stack((values.real, values.imag))
     t = mult * values
+    if isinstance(s, np.ndarray):  # not np.ndim: this runs once per dual class
+        return (t * _decay(weights, s)).sum(-1)
     if s != 0.0:
         t *= weights ** (-s)  # in place: no second block-sized temporary
     if mode != "four":
@@ -85,7 +100,7 @@ def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
     return np.where(np.abs(eig) > thr, eig, 0.0)
 
 
-def _block_terms(sym: MatrixSymbol, block, mode: str, s: float) -> np.ndarray:
+def _block_terms(sym: MatrixSymbol, block, mode: str, s, nch: int) -> np.ndarray:
     """Channel sum of one block: a (weights, mult) shell block or a dual chunk."""
     if sym.radial_fn is not None:
         weights, mult = block
@@ -93,7 +108,7 @@ def _block_terms(sym: MatrixSymbol, block, mode: str, s: float) -> np.ndarray:
         part = _reduce(sym.radial_profile(weights), mult.astype(np.float64), weights, mode, s)
     else:
         weights = block.weights
-        rows = np.zeros((len(block), _MODE_CHANNELS[mode]), dtype=_MODE_DTYPE[mode])
+        rows = np.zeros((len(block), nch), dtype=_MODE_DTYPE[mode])
         if sym.diag_fn is not None:
             for i, el in enumerate(block.elements()):
                 rows[i] = _reduce(sym.diagonal(el), float(el.dim), el.weight, mode, s)
@@ -102,7 +117,9 @@ def _block_terms(sym: MatrixSymbol, block, mode: str, s: float) -> np.ndarray:
                 for i, el in enumerate(block.elements()):
                     values = _dense_values(sym.evaluate(el), mode)
                     rows[i] = _reduce(values, float(el.dim), el.weight, mode, s)
-        part = rows.sum(axis=0)
+        # four adds the class rows in order; the other modes sum each channel
+        # pairwise along a contiguous row, as one channel always was
+        part = rows.sum(axis=0) if mode == "four" else np.ascontiguousarray(rows.T).sum(-1)
     if not np.all(np.isfinite(part)):
         raise NumericalFailureError(
             f"non-finite {mode} sum over the classes of weight {weights[0]:g}..{weights[-1]:g}"
@@ -128,31 +145,36 @@ class _Kahan:
 
 
 def annulus_sums(
-    sym: MatrixSymbol, schedule, mode: str, s: float = 0.0, lo: float = 0.0
+    sym: MatrixSymbol, schedule, mode: str, s=0.0, lo: float = 0.0
 ) -> np.ndarray:
     """Channel sums per annulus of the cutoff schedule, shape (J, channels).
 
     Annulus j covers weights in (schedule[j-1], schedule[j]] (starting from
     ``lo``), so every dual class is evaluated exactly once.  Each term
-    carries the factor weight**(-s).  Cumulative sums of the rows give the
-    partial-sum series of the schedule.
+    carries the factor weight**(-s).  In ``signed`` mode s may be a 1-D
+    array; the channels are then one column per s.  Cumulative sums of the
+    rows give the partial-sum series of the schedule.
     """
     if mode not in _MODE_CHANNELS:
         raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
+    if np.ndim(s):
+        if mode != "signed" or np.ndim(s) != 1:
+            raise InvalidArgumentError("an array of s needs the signed mode and one axis")
+        s = np.asarray(s, dtype=np.float64)
     schedule = [float(x) for x in schedule]
     if not schedule:
         raise InvalidArgumentError("schedule must be non-empty")
     lo = float(lo)
     if schedule[0] < 1.0 or any(b <= a for a, b in zip([lo] + schedule, schedule)):
         raise InvalidArgumentError("schedule must be strictly increasing, >= 1 and above lo")
-    nch = _MODE_CHANNELS[mode]
+    nch = len(s) if isinstance(s, np.ndarray) else _MODE_CHANNELS[mode]
     dtype = _MODE_DTYPE[mode]
     out = np.zeros((len(schedule), nch), dtype=dtype)
     blocks_of = sym.group.radial_shells if sym.radial_fn is not None else sym.group.dual_chunks
     for j, hi in enumerate(schedule):
         acc = _Kahan(nch, dtype)
         for block in blocks_of(lo, hi):
-            acc.add(_block_terms(sym, block, mode, s))
+            acc.add(_block_terms(sym, block, mode, s, nch))
         out[j] = acc.value()
         lo = hi
     return out

@@ -5,7 +5,13 @@ f(-s) = sum over the dual of d * Tr sigma * weight**(-s) converges for
 s > 0 and has a simple pole C/s at s = 0; the residue of interest is
 C = lim s * f(-s).  A sample of f at a cutoff N is a partial sum plus a
 model of the tail beyond it; the cutoff doubles until the sample's bound
-falls below tol * max(1, |partial|).  There are two routes to a sample.
+falls below tol * max(1, |partial|).  All s values of a residue share one
+doubling loop: at each cutoff the dual blocks are enumerated, the symbol is
+evaluated and the tail's quadrature nodes are built once, and only the
+factor w^-s is applied per s (``dualsum.annulus_sums`` with an array of s).
+Each s keeps its own stopping rule and drops out of later cutoffs once it
+stops, so its sample is exactly the one it would get alone.  There are two
+routes to a sample.
 
 Scalar symbols (a radial profile p of the weight): the partial sum is
 smoothed, sum d^2 p(w) w^-s psi(w/N) with a C^inf step psi that is 1 on
@@ -30,8 +36,8 @@ the leading counting-density coefficient of the group (vol(S^(n-1)) on the
 torus, 1 on SU(2)).  The model is added back steered by the phase of the
 partial sum, so that phase rotations of the symbol commute with sampling,
 and bounded by TAIL_SAFETY_FACTOR times itself.  Small s needs huge cutoffs
-here, which is why these symbols keep the cutoff budgets and the short s
-schedules of ``default_max_cutoff`` and ``default_s_schedule``.
+here, which is why these symbols keep the cutoff budgets of
+``default_max_cutoff`` and the short ENVELOPE_S_SCHEDULE (1.6, 0.8, 0.4).
 
 Both routes read the residue off alike: g(s) = s * f(-s) is interpolated by
 the quadratic through the three smallest s and evaluated at 0.  The error
@@ -62,6 +68,12 @@ _ORDER_TOL = 1e-9
 RADIAL_S_SCHEDULE = (0.2, 0.1, 0.05)
 RADIAL_TOLERANCE = 1e-10
 
+# Diagonal and dense symbols: the envelope tail decays like N**(-s), so the
+# cutoff a sample needs grows like tol**(-1/s).  At s = 0.4 it stays within
+# every group's budget; SU(2) diagonal sums at s = 0.3 already ran for
+# minutes, evaluating each level's diagonal.
+ENVELOPE_S_SCHEDULE = (1.6, 0.8, 0.4)
+
 # The integrated radial tail: Gauss-Legendre orders on [N/2, N] and per
 # panel of u = log(w/N) in [0, _LOG_SPAN]; the first order of each pair
 # checks the second.
@@ -78,17 +90,6 @@ def default_max_cutoff(group: GroupModel) -> float:
     if group.name == "SU2":
         return float(2**24)
     return _TORUS_MAX_CUTOFF[group.dim]
-
-
-def default_s_schedule(group: GroupModel):
-    """Evaluation points of the envelope route, largest first.
-
-    Smaller s means slower N**(-s) tail decay; on T^2 and T^3 the cutoff
-    budget caps how small s can get.  Scalar symbols use RADIAL_S_SCHEDULE.
-    """
-    if group.name == "SU2" or group.dim == 1:
-        return [1.6, 0.8, 0.4, 0.3, 0.2]
-    return [1.6, 0.8, 0.4]
 
 
 def default_tolerance(group: GroupModel) -> float:
@@ -134,29 +135,37 @@ def _cutoffs(start: float, max_cutoff: float):
         hi = min(hi * 2.0, float(max_cutoff))
 
 
-def _signed_sum(sym: MatrixSymbol, lo: float, hi: float, s: float) -> complex:
-    return complex(dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0, 0])
+def _signed_sums(sym: MatrixSymbol, lo: float, hi: float, s: list) -> list:
+    return [complex(v) for v in dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0]]
 
 
-def _envelope_samples(sym: MatrixSymbol, s: float, cutoffs):
-    """Sharp partial sums with the envelope tail model added back."""
+def _envelope_samples(sym: MatrixSymbol, s: list, cutoffs):
+    """Sharp partial sums with the envelope tail model added back.
+
+    A coroutine over the cutoffs: yields the samples of the s values still
+    sampled, and is sent the indices (into s) of those that go on.
+    """
     rho = sym.group.density_coeff
     c_env = sym.envelope.constant
-    acc = complex(0.0)
+    acc = [complex(0.0)] * len(s)
     lo = 0.0
+    active = range(len(s))
     for hi in cutoffs:
-        acc += _signed_sum(sym, lo, hi, s)
-        model = c_env * rho * hi ** (-s) / s
-        mag = abs(acc)
-        phase = acc / mag if mag > 0.0 else complex(1.0)
-        yield ZetaSample(
-            s=float(s),
-            value=acc + model * phase,
-            truncation_cutoff=hi,
-            tail_bound=TAIL_SAFETY_FACTOR * model,
-            partial=acc,
-            tail_correction=model * phase,
-        )
+        samples = []
+        for i, part in zip(active, _signed_sums(sym, lo, hi, [s[i] for i in active])):
+            acc[i] += part
+            model = c_env * rho * hi ** (-s[i]) / s[i]
+            mag = abs(acc[i])
+            phase = acc[i] / mag if mag > 0.0 else complex(1.0)
+            samples.append(ZetaSample(
+                s=s[i],
+                value=acc[i] + model * phase,
+                truncation_cutoff=hi,
+                tail_bound=TAIL_SAFETY_FACTOR * model,
+                partial=acc[i],
+                tail_correction=model * phase,
+            ))
+        active = yield samples
         lo = hi
 
 
@@ -181,26 +190,32 @@ def _unit_gauss(m: int):
     return 0.5 * (x + 1.0), 0.5 * wx
 
 
-def _tail_rule(group: GroupModel, s: float, cut: float, step_nodes: int, panel_nodes: int):
-    """Nodes w and weights q with sum q * p(w) = the tail integral short of W."""
+def _tail_rule(group: GroupModel, s: list, cut: float, step_nodes: int, panel_nodes: int):
+    """Nodes w and weights q, a row per s, with q[k] @ p(w) the tail integral short of W.
+
+    Each row's factor w**(-s) is formed exactly as for its s alone.
+    """
     x, wx = _unit_gauss(step_nodes)
     w1 = cut * (0.5 + 0.5 * x)
-    q1 = 0.5 * cut * wx * w1 ** (-s) * _step_parts(w1 / cut)[1] * group.shell_density(w1)
+    q1 = 0.5 * cut * wx
+    q1 = np.array([q1 * w1 ** (-v) for v in s]) * _step_parts(w1 / cut)[1] * group.shell_density(w1)
     y, wy = _unit_gauss(panel_nodes)
     width = _LOG_SPAN / _LOG_PANELS
     u = width * (np.arange(_LOG_PANELS)[:, None] + y).ravel()
     w2 = cut * np.exp(u)
     # w**(-s) as cut**(-s) * exp(-s u): w2 itself stays far below overflow
-    q2 = width * np.tile(wy, _LOG_PANELS) * cut ** (-s) * np.exp(-s * u) * group.shell_density(w2) * w2
-    return np.concatenate((w1, w2)), np.concatenate((q1, q2))
+    q2 = width * np.tile(wy, _LOG_PANELS)
+    q2 = np.array([q2 * cut ** (-v) * np.exp(-v * u) for v in s]) * group.shell_density(w2) * w2
+    return np.concatenate((w1, w2)), np.concatenate((q1, q2), axis=1)
 
 
-def _radial_tail(sym: MatrixSymbol, s: float, cut: float):
-    """The integrated tail at the cutoff and the part of its bound it owns.
+def _radial_tails(sym: MatrixSymbol, s: list, cut: float) -> list:
+    """The integrated tail at the cutoff and the part of its bound it owns, per s.
 
-    Returns (tail, drift): drift is the change between the two quadrature
-    orders plus the change of the power-law amplitude p(w) w^n over the
-    last log panel, both scaled like the terms they come from.
+    Returns (tail, drift) pairs: drift is the change between the two
+    quadrature orders plus the change of the power-law amplitude p(w) w^n
+    over the last log panel, both scaled like the terms they come from.
+    The profile is evaluated once, at nodes that every s shares.
     """
     group = sym.group
     coarse_w, coarse_q = _tail_rule(group, s, cut, _STEP_NODES[0], _PANEL_NODES[0])
@@ -208,29 +223,36 @@ def _radial_tail(sym: MatrixSymbol, s: float, cut: float):
     # the last panel's ends; the second is W
     far_w = cut * np.exp(_LOG_SPAN * np.array([1.0 - 1.0 / _LOG_PANELS, 1.0]))
     p = sym.radial_profile(np.concatenate((coarse_w, fine_w, far_w)))
-    coarse = p[: coarse_w.size] @ coarse_q
-    fine = p[coarse_w.size : -2] @ fine_q
     amplitude = p[-2:] * far_w**group.dim
-    far_scale = group.density_coeff * cut ** (-s) * math.exp(-s * _LOG_SPAN) / s
-    tail = complex(fine + amplitude[1] * far_scale)
-    drift = float(abs(fine - coarse) + abs(amplitude[1] - amplitude[0]) * far_scale)
-    return tail, drift
+    out = []
+    for v, cq, fq in zip(s, coarse_q, fine_q):
+        coarse = p[: coarse_w.size] @ cq
+        fine = p[coarse_w.size : -2] @ fq
+        far_scale = group.density_coeff * cut ** (-v) * math.exp(-v * _LOG_SPAN) / v
+        tail = complex(fine + amplitude[1] * far_scale)
+        drift = float(abs(fine - coarse) + abs(amplitude[1] - amplitude[0]) * far_scale)
+        out.append((tail, drift))
+    return out
 
 
-def _radial_samples(sym: MatrixSymbol, s: float, cutoffs):
+def _radial_samples(sym: MatrixSymbol, s: list, cutoffs):
     """Smoothed partial sums with the integrated radial tail added.
 
     The sharp sum over weights <= N/2 is kept across cutoffs; the annulus
     (N/2, N] goes through the same kernel as the scalar symbol p * psi(./N).
+    A coroutine over the cutoffs like ``_envelope_samples``.
     """
     profile = sym.radial_fn
-    sharp = complex(0.0)
+    sharp = [complex(0.0)] * len(s)
     sharp_hi = 0.0
-    prev = None
+    prev = [None] * len(s)
+    active = range(len(s))
     for hi in cutoffs:
+        s_active = [s[i] for i in active]
         half = 0.5 * hi
         if half > sharp_hi:
-            sharp += _signed_sum(sym, sharp_hi, half, s)
+            for i, part in zip(active, _signed_sums(sym, sharp_hi, half, s_active)):
+                sharp[i] += part
             sharp_hi = half
         smoothed = scalar_symbol(
             sym.group,
@@ -238,21 +260,68 @@ def _radial_samples(sym: MatrixSymbol, s: float, cutoffs):
             sym.envelope,
             check=False,
         )
-        partial = sharp + _signed_sum(smoothed, half, hi, s)
-        tail, drift = _radial_tail(sym, s, hi)
-        value = partial + tail
-        if not (np.isfinite(value) and math.isfinite(drift)):
-            raise NumericalFailureError(f"non-finite zeta sample at s = {s:g}, cutoff {hi:g}")
-        bound = math.inf if prev is None else TAIL_SAFETY_FACTOR * (abs(value - prev) + drift)
-        yield ZetaSample(
-            s=float(s),
-            value=value,
-            truncation_cutoff=hi,
-            tail_bound=bound,
-            partial=partial,
-            tail_correction=tail,
-        )
-        prev = value
+        annulus = _signed_sums(smoothed, half, hi, s_active)
+        samples = []
+        for i, part, (tail, drift) in zip(active, annulus, _radial_tails(sym, s_active, hi)):
+            partial = sharp[i] + part
+            value = partial + tail
+            if not (np.isfinite(value) and math.isfinite(drift)):
+                raise NumericalFailureError(f"non-finite zeta sample at s = {s[i]:g}, cutoff {hi:g}")
+            bound = math.inf if prev[i] is None else TAIL_SAFETY_FACTOR * (abs(value - prev[i]) + drift)
+            samples.append(ZetaSample(
+                s=s[i],
+                value=value,
+                truncation_cutoff=hi,
+                tail_bound=bound,
+                partial=partial,
+                tail_correction=tail,
+            ))
+            prev[i] = value
+        active = yield samples
+
+
+def _stops(sample: ZetaSample, tol: float, max_cutoff: float, min_cutoff) -> bool:
+    """Whether sampling of its s ends with this sample."""
+    satisfied = sample.tail_bound <= tol * max(1.0, abs(sample.partial))
+    forced = min_cutoff is not None and sample.truncation_cutoff < min_cutoff
+    return satisfied and (not forced or sample.truncation_cutoff >= max_cutoff)
+
+
+def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None) -> list:
+    """One sample of f(-s) per s value, all from one doubling loop.
+
+    Every cutoff enumerates, evaluates and (on the radial route) builds the
+    tail's quadrature once for all s still sampled; only the w^-s weighting
+    is per s.  Each s stops by its own rule and drops out; if the budget
+    runs out first, the first s left raises BudgetExceededError.
+    """
+    _check_critical_order(sym)
+    if min(s_values) <= 0.0:
+        raise InvalidArgumentError(f"s must be positive, got {min(s_values)}")
+    if tol <= 0.0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    if max_cutoff is None:
+        max_cutoff = default_max_cutoff(sym.group)
+    route = _radial_samples if sym.radial_fn is not None else _envelope_samples
+    passes = route(sym, [float(v) for v in s_values], _cutoffs(start_cutoff, max_cutoff))
+    found = [None] * len(s_values)
+    active = list(range(len(s_values)))
+    samples = next(passes)
+    while True:
+        for i, sample in zip(active, samples):
+            found[i] = sample
+        active = [i for i in active if not _stops(found[i], tol, max_cutoff, min_cutoff)]
+        if not active:
+            return found
+        try:
+            samples = passes.send(active)
+        except StopIteration:
+            break
+    best = found[active[0]]
+    raise BudgetExceededError(
+        f"tail bound {best.tail_bound:.3e} above tolerance at the cutoff budget {max_cutoff:g}",
+        best=best,
+    )
 
 
 def zeta_trace(
@@ -273,23 +342,7 @@ def zeta_trace(
     integrated-tail route, others the envelope route (see the module
     docstring).
     """
-    _check_critical_order(sym)
-    if s <= 0.0:
-        raise InvalidArgumentError(f"s must be positive, got {s}")
-    if tol <= 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol}")
-    if max_cutoff is None:
-        max_cutoff = default_max_cutoff(sym.group)
-    route = _radial_samples if sym.radial_fn is not None else _envelope_samples
-    for sample in route(sym, s, _cutoffs(start_cutoff, max_cutoff)):
-        satisfied = sample.tail_bound <= tol * max(1.0, abs(sample.partial))
-        forced = min_cutoff is not None and sample.truncation_cutoff < min_cutoff
-        if satisfied and (not forced or sample.truncation_cutoff >= max_cutoff):
-            return sample
-    raise BudgetExceededError(
-        f"tail bound {sample.tail_bound:.3e} above tolerance at the cutoff budget {max_cutoff:g}",
-        best=sample,
-    )
+    return _zeta_samples(sym, [s], tol, start_cutoff, max_cutoff, min_cutoff)[0]
 
 
 def _intercept_weights(x: np.ndarray) -> np.ndarray:
@@ -314,13 +367,12 @@ def zeta_residue(
     """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+.
 
     Defaults depend on the route: RADIAL_S_SCHEDULE and RADIAL_TOLERANCE
-    for scalar symbols, ``default_s_schedule`` and ``default_tolerance`` of
-    the group otherwise.
+    for scalar symbols, ENVELOPE_S_SCHEDULE and ``default_tolerance`` of the
+    group otherwise.  All s values are sampled in one doubling loop.
     """
-    _check_critical_order(sym)
     radial = sym.radial_fn is not None
     if s_schedule is None:
-        s_schedule = RADIAL_S_SCHEDULE if radial else default_s_schedule(sym.group)
+        s_schedule = RADIAL_S_SCHEDULE if radial else ENVELOPE_S_SCHEDULE
     if tol is None:
         tol = RADIAL_TOLERANCE if radial else default_tolerance(sym.group)
     s_schedule = [float(v) for v in s_schedule]
@@ -328,10 +380,7 @@ def zeta_residue(
         raise InvalidArgumentError("s schedule needs at least 3 values")
     if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])) or min(s_schedule) <= 0.0:
         raise InvalidArgumentError("s schedule must be strictly decreasing and positive")
-    samples = tuple(
-        zeta_trace(sym, s, tol, start_cutoff=start_cutoff, max_cutoff=max_cutoff)
-        for s in s_schedule
-    )
+    samples = tuple(_zeta_samples(sym, s_schedule, tol, start_cutoff, max_cutoff))
     tail = samples[-3:]
     sv = np.array([smp.s for smp in tail])
     gv = np.array([smp.s * smp.value for smp in tail], dtype=np.complex128)

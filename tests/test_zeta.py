@@ -10,6 +10,7 @@ from ncresidue import (
     DecayEnvelope,
     Torus,
     add_symbols,
+    dense_symbol,
     diag_signed_symbol,
     diagonal_symbol,
     estimate_slope,
@@ -22,7 +23,12 @@ from ncresidue import (
     zeta_trace,
 )
 from ncresidue import dualsum
-from ncresidue.zeta import DEFAULT_START_CUTOFF, RADIAL_TOLERANCE, TAIL_SAFETY_FACTOR
+from ncresidue.zeta import (
+    DEFAULT_START_CUTOFF,
+    RADIAL_S_SCHEDULE,
+    RADIAL_TOLERANCE,
+    TAIL_SAFETY_FACTOR,
+)
 from ncresidue.errors import BudgetExceededError, InvalidArgumentError
 
 PI_COTH_PI = math.pi / math.tanh(math.pi)
@@ -234,7 +240,98 @@ def test_structure_tag_does_not_change_the_zeta_residue(su2):
         a = zeta_trace(scalar, s, 0.1)
         b = zeta_trace(diagonal, s, 0.1)
         assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
-    # the envelope route's default schedule needs 2^22 classes at s = 0.2
     za = zeta_residue(scalar)
-    zb = zeta_residue(diagonal, s_schedule=[1.6, 0.8, 0.4])
+    zb = zeta_residue(diagonal)
     assert abs(za.value - zb.value) <= za.error_bar + zb.error_bar
+
+
+def test_envelope_defaults_finish_within_their_bars():
+    # the alternating SU(2) diagonal has a convergent trace, so residue 0;
+    # with s down to 0.2 its default schedule once needed about 2^22 levels
+    zr = zeta_residue(diag_signed_symbol(SU2(), -3.0))
+    assert abs(zr.value) <= zr.error_bar
+    c = 1.5 - 0.5j
+    diagonal = diagonal_symbol(
+        Torus(1), lambda xi: np.full(1, c * xi.weight**-1.0), DecayEnvelope(abs(c), -1.0)
+    )
+    zr = zeta_residue(diagonal)
+    assert abs(zr.value - 2.0 * c) <= zr.error_bar
+
+
+# ---------------------------------------------------------------------------
+# one doubling loop for every s of a residue
+
+
+def _dense_su2():
+    return dense_symbol(
+        SU2(),
+        lambda xi: (1.0 + 0.5j) * xi.weight**-3.0 * np.diag(np.linspace(-1.0, 1.0, xi.dim)),
+        DecayEnvelope(1.5, -3.0),
+    )
+
+
+SHARED_LOOP_CASES = [
+    *[(name, lambda g=group: weight_power_symbol(g, 1.5 - 0.5j, -g.dim), RADIAL_S_SCHEDULE,
+       RADIAL_TOLERANCE) for name, group, _ in CANONICAL],
+    ("SU2 diagonal", lambda: diag_signed_symbol(SU2(), -3.0), (1.6, 1.2, 0.8), 0.1),
+    ("SU2 dense", _dense_su2, (1.6, 1.2, 0.8), 0.1),
+]
+
+
+@pytest.mark.parametrize(
+    "make, s_schedule, tol", [c[1:] for c in SHARED_LOOP_CASES], ids=[c[0] for c in SHARED_LOOP_CASES]
+)
+def test_shared_loop_gives_the_samples_of_one_s_at_a_time(make, s_schedule, tol):
+    sym = make()
+    zr = zeta_residue(sym, s_schedule=s_schedule, tol=tol)
+    for s, sample in zip(s_schedule, zr.samples):
+        assert sample == zeta_trace(sym, s, tol)
+
+
+def _budget_error(sym, s, tol, max_cutoff):
+    """The BudgetExceededError of one s alone, or None if it stops."""
+    try:
+        zeta_trace(sym, s, tol, max_cutoff=max_cutoff)
+    except BudgetExceededError as exc:
+        return exc
+    return None
+
+
+@pytest.mark.parametrize(
+    "sym, s_schedule, max_cutoff",
+    [
+        # every s is short of its tolerance at 64
+        (weight_power_symbol(SU2(), 1.0, -3.0), RADIAL_S_SCHEDULE, 64.0),
+        # s = 1.6 and 0.8 stop below 256, s = 0.4 does not
+        (diag_signed_symbol(SU2(), -3.0), (1.6, 0.8, 0.4), 256.0),
+    ],
+    ids=["radial", "envelope"],
+)
+def test_shared_loop_raises_for_the_first_unstopped_s(sym, s_schedule, max_cutoff):
+    tol = RADIAL_TOLERANCE if sym.radial_fn is not None else 0.1
+    alone = [_budget_error(sym, s, tol, max_cutoff) for s in s_schedule]
+    first = next(exc for exc in alone if exc is not None)
+    with pytest.raises(BudgetExceededError) as together:
+        zeta_residue(sym, s_schedule=s_schedule, tol=tol, max_cutoff=max_cutoff)
+    assert together.value.best == first.best
+    assert str(together.value) == str(first)
+
+
+def test_work_per_cutoff_does_not_grow_with_the_number_of_s(t3):
+    # the profile counts the weights it is evaluated at: shells, smoothed
+    # annulus and tail quadrature nodes are shared by every s
+    evaluated = []
+
+    def profile(w):
+        evaluated.append(w.size)
+        return (1.5 - 0.5j) * w**-3.0
+
+    sym = scalar_symbol(t3, profile, DecayEnvelope(1.6, -3.0))
+    evaluated.clear()
+    zr = zeta_residue(sym)
+    assert len(zr.samples) == 3
+    assert all(smp.truncation_cutoff == 128.0 for smp in zr.samples)
+    together = sum(evaluated)
+    evaluated.clear()
+    assert zeta_trace(sym, RADIAL_S_SCHEDULE[-1], RADIAL_TOLERANCE).truncation_cutoff == 128.0
+    assert together == sum(evaluated)
