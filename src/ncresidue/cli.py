@@ -7,7 +7,9 @@ configuration apart from the wall-clock field; floats are printed with 17
 significant digits so parsed values round-trip exactly.
 
 Exit codes: 0 success, 2 flagged (result present but unreliable),
-1 numerical failure, 64 malformed configuration or usage.
+1 numerical failure, 64 malformed configuration or usage.  A sweep whose
+series is too short for ``weakl1.estimate_slope`` still exits 0: its CSV is
+written, and its report carries value 0 and ``SHORT_SWEEP_FLAG``.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from .symbols import (
 )
 
 TASKS = ("weakl1", "zeta", "residue", "sweep")
+SHORT_SWEEP_FLAG = "series too short for a slope estimate"
 USAGE_EXIT = 64
 
 
@@ -350,14 +353,11 @@ def _run_residue(config: RunConfig):
 def _run_sweep(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
     series = weakl1.sum_series(sym, config.schedule, mode="abs")
-    rows = _series_rows(series)
-    flags: list[str] = []
-    if len(rows) >= 2:
-        value = complex(rows[-1][4])
-    else:
-        value = complex(0.0)
-        flags.append("series too short for a running slope")
-    return value, 0.0, flags, {}, series
+    try:
+        est = weakl1.estimate_slope(series)
+    except InvalidArgumentError:  # too few entries or octaves
+        return complex(0.0), 0.0, [SHORT_SWEEP_FLAG], {}, series
+    return complex(est.value), est.error_bar, list(est.flags), {}, series
 
 
 _RUNNERS = {
@@ -425,7 +425,7 @@ def run_task(config: RunConfig, out_path: Optional[str] = None, verbose: bool = 
     _write_report(report_path, ordered)
     if verbose:
         print(f"report written to {report_path}", file=sys.stderr)
-    return 2 if flags else 0
+    return 2 if set(flags) - {SHORT_SWEEP_FLAG} else 0
 
 
 def _derive_series_path(report_path: str) -> str:

@@ -12,9 +12,10 @@ evaluated and solved with numpy's bundled OpenBLAS on one thread
 OPENBLAS_NUM_THREADS; with another BLAS build large dense classes may
 depend on its thread count.
 
-Every block reduces through one kernel, ``_reduce(values, mult, weights,
-mode, s)``: the sum of mult * f(values) * weights**(-s), where f is set by
-the mode and the factor weights**(-s) is skipped when s == 0:
+Every block reduces through one kernel, ``_reduce(rows, mult, weights, s)``:
+the sum of mult * rows * weights**(-s) along each row, where the rows are
+f(values) for the mode (``_channels``) and the factor weights**(-s) is
+skipped when s == 0:
 
 * ``abs``     sum of d * Tr|sigma|            (one real channel)
 * ``signed``  sum of d * Tr sigma             (one complex channel)
@@ -29,14 +30,20 @@ The producers of (values, mult, weights) are:
 * a shell block of a scalar symbol: the radial profile evaluated once per
   distinct weight, with the shell's exact multiplicity ``sum d^2``
   (``GroupModel.radial_shells``), so the dual is never enumerated for it;
-* a diagonal class: its diagonal vector with multiplicity d (entrywise
-  absolute values and sign splits, no eigensolver);
+* a chunk of a diagonal symbol: the chunk evaluator returns the classes'
+  diagonals as one flat vector, its channel rows (|v|, v, or the sign
+  splits of Re v and Im v; no eigensolver) are summed per class by
+  ``np.add.reduceat`` at the class offsets, and the per-class sums go
+  through the kernel with multiplicity d and weight w, so w**(-s) is formed
+  once per class, never per entry;
 * a dense class, with multiplicity d: Tr sigma (``signed``), the trace norm
   of sigma (``abs``), or the spectra of Re sigma and Im sigma, one LAPACK
   call per class on the pair, as the two rows of a (2, d) array (``four``).
 
-Classes are reduced one at a time and a chunk sums their rows.  A block
-whose channel sum is not finite raises NumericalFailureError.
+A chunk holds at most ``groups._CHUNK_ENTRIES`` diagonal entries (or one
+class), so no evaluation holds more.  Dense classes are reduced one at a
+time and a chunk sums their rows.  A block whose channel sum is not finite
+raises NumericalFailureError.
 """
 
 from __future__ import annotations
@@ -54,31 +61,47 @@ _MODE_DTYPE = {"abs": np.float64, "signed": np.complex128, "four": np.float64}
 def _decay(weights, s: np.ndarray) -> np.ndarray:
     """weights**(-s), one row per s, each formed as for that s alone.
 
-    A class weight is a Python float and goes through Python's pow; numpy's
-    pow of an array of s, or of an array exponent, may differ in the last bit.
+    A dense class weight is a Python float and goes through Python's pow;
+    numpy's pow of an array of s, or of an array exponent, may differ in the
+    last bit.
     """
     return np.array([weights ** (-x) for x in s.tolist()]).reshape(len(s), -1)
 
 
-def _reduce(values, mult, weights, mode: str, s) -> np.ndarray:
-    """Channel vector of sum mult * f(values) * weights**(-s) over one block.
+def _channels(values, mode: str) -> np.ndarray:
+    """The rows f(values) that ``mode`` sums, shape (channels, n).
 
-    ``four`` takes complex values or their (real, imaginary) rows as (2, n).
-    For an array s (``signed`` only) the channels are the sums per s.
+    ``four`` takes complex values or their (real, imaginary) rows as (2, n)
+    and returns the rows (R+, R-, I+, I-).
     """
     if mode == "abs":
-        values = np.abs(values)
-    elif mode == "four" and values.ndim == 1:
-        values = np.stack((values.real, values.imag))
-    t = mult * values
-    if isinstance(s, np.ndarray):  # not np.ndim: this runs once per dual class
+        return np.abs(values)[None]
+    if mode == "signed":
+        return values[None]
+    if values.ndim == 1:  # the (Re, Im) rows as a strided view, not a copy
+        values = np.ascontiguousarray(values).view(np.float64).reshape(-1, 2).T
+    # written into one array: fresh block-sized temporaries cost page faults,
+    # and a dense class pays per numpy call
+    out = np.empty((2, 2, values.shape[-1]))
+    np.maximum(values, 0.0, out=out[:, 0])
+    np.negative(np.minimum(values, 0.0, out=out[:, 1]), out=out[:, 1])
+    return out.reshape(4, -1)  # (Re, Im) x (+, -) -> (R+, R-, I+, I-)
+
+
+def _reduce(rows: np.ndarray, mult, weights, s) -> np.ndarray:
+    """Channel vector of sum mult * rows * weights**(-s) along the last axis.
+
+    For an array s (``signed`` only: one row) the channels are the sums per s.
+    Real rows (``abs``, ``four``) are made for this sum and are scaled in
+    place, with no second block-sized temporary; complex (``signed``) rows
+    may be the caller's values and are not.
+    """
+    t = mult * rows if rows.dtype.kind == "c" else np.multiply(rows, mult, out=rows)
+    if isinstance(s, np.ndarray):  # not np.ndim: this runs once per dense class
         return (t * _decay(weights, s)).sum(-1)
     if s != 0.0:
         t *= weights ** (-s)  # in place: no second block-sized temporary
-    if mode != "four":
-        return np.array([t.sum()])
-    # rows (Re, Im) x columns (+, -) -> (R+, R-, I+, I-)
-    return np.array((np.maximum(t, 0.0).sum(-1), -np.minimum(t, 0.0).sum(-1))).T.ravel()
+    return t.sum(-1)
 
 
 def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
@@ -100,23 +123,48 @@ def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
     return np.where(np.abs(eig) > thr, eig, 0.0)
 
 
+def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, s) -> np.ndarray:
+    """Channel sum of one chunk of a diagonal symbol.
+
+    The chunk's diagonals come as one flat vector; their channel rows are
+    summed per class (``np.add.reduceat`` at the class offsets) and the
+    class sums go through the kernel with multiplicity d and weight w, so
+    w**(-s) is formed once per class.
+    """
+    values = sym.chunk_diagonals(chunk)
+    dims = chunk.dims.astype(np.int64)
+    starts = np.cumsum(dims) - dims
+    if mode != "four":
+        per_class = np.add.reduceat(_channels(values, mode), starts, axis=-1)
+    else:
+        # one channel at a time through one buffer: fresh chunk-sized
+        # temporaries cost more in page faults than the sums themselves
+        buf = np.empty(values.shape[0])
+        per_class = np.array([
+            np.add.reduceat(split(part, 0.0, out=buf), starts)
+            for part in (values.real, values.imag)
+            for split in (np.maximum, np.minimum)
+        ])
+        per_class[1::2] *= -1.0  # (R+, -R-, I+, -I-) -> (R+, R-, I+, I-)
+    return _reduce(per_class, chunk.dims, chunk.weights, s)
+
+
 def _block_terms(sym: MatrixSymbol, block, mode: str, s, nch: int) -> np.ndarray:
     """Channel sum of one block: a (weights, mult) shell block or a dual chunk."""
     if sym.radial_fn is not None:
         weights, mult = block
         # exact: multiplicities stay below 2**53
-        part = _reduce(sym.radial_profile(weights), mult.astype(np.float64), weights, mode, s)
+        part = _reduce(_channels(sym.radial_profile(weights), mode), mult.astype(np.float64), weights, s)
+    elif sym.diag_fn is not None:
+        weights = block.weights
+        part = _diagonal_terms(sym, block, mode, s)
     else:
         weights = block.weights
         rows = np.zeros((len(block), nch), dtype=_MODE_DTYPE[mode])
-        if sym.diag_fn is not None:
+        with matcalc.one_blas_thread():
             for i, el in enumerate(block.elements()):
-                rows[i] = _reduce(sym.diagonal(el), float(el.dim), el.weight, mode, s)
-        else:
-            with matcalc.one_blas_thread():
-                for i, el in enumerate(block.elements()):
-                    values = _dense_values(sym.evaluate(el), mode)
-                    rows[i] = _reduce(values, float(el.dim), el.weight, mode, s)
+                values = _dense_values(sym.evaluate(el), mode)
+                rows[i] = _reduce(_channels(values, mode), float(el.dim), el.weight, s)
         # four adds the class rows in order; the other modes sum each channel
         # pairwise along a contiguous row, as one channel always was
         part = rows.sum(axis=0) if mode == "four" else np.ascontiguousarray(rows.T).sum(-1)

@@ -97,6 +97,17 @@ class DualChunk:
     def __len__(self):
         return self.weights.shape[0]
 
+    @classmethod
+    def of(cls, group: "GroupModel", xi: DualElement) -> "DualChunk":
+        """The one-class chunk holding xi."""
+        return cls(
+            group,
+            np.array([xi.label], dtype=np.int64),
+            np.array([float(xi.dim)]),
+            np.array([xi.weight]),
+            np.array([xi.eigenvalue]),
+        )
+
     def elements(self) -> list[DualElement]:
         out = []
         if self.labels.ndim == 2:
@@ -112,9 +123,11 @@ class DualChunk:
         return out
 
 
-# Chunks are flushed once they collect roughly this many classes.  The
-# partition depends only on the cutoffs, so reductions stay bit-reproducible.
-_CHUNK_TARGET = 1 << 17
+# A chunk holds at most this many diagonal entries (sum of d over its
+# classes), unless it is a single class: a diagonal symbol is evaluated and
+# reduced one chunk at a time.  The partition depends only on the cutoffs,
+# so reductions stay bit-reproducible.
+_CHUNK_ENTRIES = 1 << 14
 
 # Radial shell blocks, likewise fixed by the cutoffs alone, are kept
 # cache-sized: the radial reduction makes a few temporaries per shell, and
@@ -131,7 +144,11 @@ class GroupModel:
     density_coeff: float  # leading coefficient of d/dt sum_{<xi><=t} d^2 ~ coeff*t^(n-1)
 
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
-        """Canonically ordered chunks covering the annulus lo < weight <= hi."""
+        """Canonically ordered chunks covering the annulus lo < weight <= hi.
+
+        A chunk holds at most ``_CHUNK_ENTRIES`` diagonal entries unless it
+        is a single class; its boundaries depend on (lo, hi) only.
+        """
         raise NotImplementedError
 
     def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
@@ -257,7 +274,7 @@ class Torus(GroupModel):
             return
         kmax = math.isqrt(r2max)
         if self.n == 1:
-            step = 1 << 18
+            step = _CHUNK_ENTRIES
             for start in range(-kmax, kmax + 1, step):
                 k = np.arange(start, min(start + step, kmax + 1), dtype=np.int64)
                 q = 1 + k * k
@@ -293,9 +310,13 @@ class Torus(GroupModel):
                 buf_labels.append(labels[mask])
                 buf_q.append(q[mask])
                 count += int(mask.sum())
-            if count >= _CHUNK_TARGET:
-                yield self._make_chunk(np.concatenate(buf_labels), np.concatenate(buf_q))
-                buf_labels, buf_q, count = [], [], 0
+            if count >= _CHUNK_ENTRIES:
+                # every class has d = 1: cut full chunks, carry the rest over
+                labels, q = np.concatenate(buf_labels), np.concatenate(buf_q)
+                full = count - count % _CHUNK_ENTRIES
+                for a in range(0, full, _CHUNK_ENTRIES):
+                    yield self._make_chunk(labels[a : a + _CHUNK_ENTRIES], q[a : a + _CHUNK_ENTRIES])
+                buf_labels, buf_q, count = [labels[full:]], [q[full:]], count - full
         if count:
             yield self._make_chunk(np.concatenate(buf_labels), np.concatenate(buf_q))
 
@@ -365,15 +386,17 @@ class SU2(GroupModel):
         # d^2 = w^2 per unit step of the weight w = ell + 1
         return w * w
 
-    @staticmethod
-    def _levels(lo: float, hi: float) -> Iterator[np.ndarray]:
-        # levels ell with lo < ell + 1 <= hi; one class, and one shell, each
-        stop = max(_int_floor(hi), 0)
-        for start in range(max(_int_floor(lo), 0), stop, _SHELL_BLOCK):
-            yield np.arange(start, min(start + _SHELL_BLOCK, stop), dtype=np.int64)
-
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
-        for ell in self._levels(lo, hi):
+        # levels ell with lo < ell + 1 <= hi, one class each; levels
+        # start..stop-1 hold (stop(stop+1) - start(start+1))/2 entries, and
+        # each chunk takes the most levels within _CHUNK_ENTRIES, at least one
+        start = max(_int_floor(lo), 0)
+        end = max(_int_floor(hi), start)
+        while start < end:
+            stop = (math.isqrt(1 + 4 * (2 * _CHUNK_ENTRIES + start * (start + 1))) - 1) // 2
+            stop = min(max(stop, start + 1), end)
+            ell = np.arange(start, stop, dtype=np.int64)
+            start = stop
             w = (ell + 1).astype(np.float64)
             yield DualChunk(
                 group=self,
@@ -384,8 +407,11 @@ class SU2(GroupModel):
             )
 
     def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        for ell in self._levels(lo, hi):
-            yield (ell + 1).astype(np.float64), (ell + 1) * (ell + 1)
+        # one shell per level, as in dual_chunks
+        stop = max(_int_floor(hi), 0)
+        for start in range(max(_int_floor(lo), 0), stop, _SHELL_BLOCK):
+            w = np.arange(start + 1, min(start + _SHELL_BLOCK, stop) + 1, dtype=np.int64)
+            yield w.astype(np.float64), w * w
 
     def haar_quadrature(self, resolution: int) -> QuadratureRule:
         m = int(resolution)

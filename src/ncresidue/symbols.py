@@ -11,6 +11,16 @@ Symbols are evaluators, not tables: the dual is unbounded, so values are
 computed on demand.  Evaluators must be pure, which keeps every reduction
 over the dual reproducible.
 
+Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
+``DualChunk`` to one flat complex vector, the diagonals of the chunk's
+classes concatenated in chunk order (length sum of d), so a dual sum
+evaluates them one chunk at a time.  ``diagonal_symbol`` keeps a per-class
+``diag(xi)`` signature and wraps it in a loop over the chunk's classes;
+``diag_signed_symbol``, ``scalar_symbol``, ``scale_symbol`` and
+``add_symbols`` build vectorised chunk evaluators.  ``MatrixSymbol.diagonal``
+evaluates the one-class chunk of a class, and ``evaluate`` is its diagonal
+matrix.
+
 An x-dependent homogeneous component is represented by a ``SymbolField``:
 one frozen symbol per Haar quadrature node.  ``Expansion`` stacks such
 components with degrees decreasing by one from the operator order;
@@ -26,7 +36,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .groups import DualElement, GroupModel, QuadratureRule
+from .groups import DualChunk, DualElement, GroupModel, QuadratureRule
 
 SPOT_CHECK_CLASSES = 1000
 _SPOT_CHECK_DENSE_CLASSES = 100
@@ -52,16 +62,22 @@ class DecayEnvelope:
 
 @dataclass(frozen=True, eq=False)
 class MatrixSymbol:
-    """An x-independent symbol: dual class -> d x d complex matrix."""
+    """An x-independent symbol: dual class -> d x d complex matrix.
+
+    ``matrix_fn`` is None for scalar and diagonal structure, whose matrix is
+    the diagonal of the chunk evaluator ``diag_fn``.
+    """
 
     group: GroupModel
     structure: str  # "scalar" | "diagonal" | "dense"
     envelope: DecayEnvelope
-    matrix_fn: Callable[[DualElement], np.ndarray]
+    matrix_fn: Optional[Callable[[DualElement], np.ndarray]]
     radial_fn: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    diag_fn: Optional[Callable[[DualElement], np.ndarray]] = None
+    diag_fn: Optional[Callable[[DualChunk], np.ndarray]] = None
 
     def evaluate(self, xi: DualElement) -> np.ndarray:
+        if self.matrix_fn is None:
+            return np.diag(self.diagonal(xi))
         mat = np.asarray(self.matrix_fn(xi), dtype=np.complex128)
         if mat.shape != (xi.dim, xi.dim):
             raise InvalidArgumentError(
@@ -69,16 +85,21 @@ class MatrixSymbol:
             )
         return mat
 
-    def diagonal(self, xi: DualElement) -> np.ndarray:
-        """Diagonal vector; only for scalar/diagonal structure."""
+    def chunk_diagonals(self, chunk: DualChunk) -> np.ndarray:
+        """The chunk's diagonals as one flat vector; only for scalar/diagonal structure."""
         if self.diag_fn is None:
             raise InvalidArgumentError("symbol has no diagonal fast path")
-        vec = np.asarray(self.diag_fn(xi), dtype=np.complex128)
-        if vec.shape != (xi.dim,):
+        entries = int(chunk.dims.sum())
+        vec = np.asarray(self.diag_fn(chunk), dtype=np.complex128)
+        if vec.shape != (entries,):
             raise InvalidArgumentError(
-                f"diagonal evaluator returned shape {vec.shape} for dimension {xi.dim}"
+                f"diagonal evaluator returned shape {vec.shape} for {entries} entries"
             )
         return vec
+
+    def diagonal(self, xi: DualElement) -> np.ndarray:
+        """Diagonal vector of one class, from its one-class chunk."""
+        return self.chunk_diagonals(DualChunk.of(self.group, xi))
 
     def radial_profile(self, weights: np.ndarray) -> np.ndarray:
         if self.radial_fn is None:
@@ -118,32 +139,24 @@ def _check_envelope(sym: MatrixSymbol) -> None:
     cutoff = min(_spot_cutoff(sym.group, limit), cap)
     seen = 0
     for chunk in sym.group.dual_chunks(0.0, cutoff):
+        k = min(len(chunk), limit - seen)
+        part = DualChunk(sym.group, chunk.labels[:k], chunk.dims[:k], chunk.weights[:k], chunk.eigenvalues[:k])
         if sym.structure == "scalar":
-            norms = np.abs(sym.radial_profile(chunk.weights))
-            bounds = sym.envelope.bound(chunk.weights)
-            bad = norms > bounds * (1.0 + 1e-9) + 1e-300
-            if bad.any():
-                i = int(np.argmax(bad))
-                raise InvalidArgumentError(
-                    f"decay envelope violated at weight {chunk.weights[i]:g}: "
-                    f"|sigma| = {norms[i]:g} > {bounds[i]:g}"
-                )
-            seen += len(chunk)
+            norms = np.abs(sym.radial_profile(part.weights))
+        elif sym.structure == "diagonal":
+            dims = part.dims.astype(np.int64)
+            norms = np.maximum.reduceat(np.abs(sym.chunk_diagonals(part)), np.cumsum(dims) - dims)
         else:
-            for el in chunk.elements():
-                if sym.structure == "diagonal":
-                    norm = float(np.max(np.abs(sym.diagonal(el)))) if el.dim else 0.0
-                else:
-                    norm = _operator_norm_estimate(sym.evaluate(el))
-                bound = sym.envelope.constant * el.weight**sym.envelope.order
-                if norm > bound * (1.0 + 1e-9) + 1e-300:
-                    raise InvalidArgumentError(
-                        f"decay envelope violated at {el.label}: "
-                        f"|sigma| = {norm:g} > {bound:g}"
-                    )
-                seen += 1
-                if seen >= limit:
-                    return
+            norms = np.array([_operator_norm_estimate(sym.evaluate(el)) for el in part.elements()])
+        bounds = sym.envelope.bound(part.weights)
+        bad = norms > bounds * (1.0 + 1e-9) + 1e-300
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise InvalidArgumentError(
+                f"decay envelope violated at {part.elements()[i].label} (weight {part.weights[i]:g}): "
+                f"|sigma| = {norms[i]:g} > {bounds[i]:g}"
+            )
+        seen += k
         if seen >= limit:
             return
 
@@ -160,15 +173,11 @@ def scalar_symbol(
     elementwise (it is evaluated in bulk on the radial fast path).
     """
 
-    def matrix_fn(xi: DualElement) -> np.ndarray:
-        c = complex(np.asarray(profile(np.array([xi.weight])), dtype=np.complex128)[0])
-        return c * np.eye(xi.dim, dtype=np.complex128)
+    def diag_fn(chunk: DualChunk) -> np.ndarray:
+        values = np.asarray(profile(chunk.weights), dtype=np.complex128)
+        return np.repeat(values, chunk.dims.astype(np.int64))
 
-    def diag_fn(xi: DualElement) -> np.ndarray:
-        c = complex(np.asarray(profile(np.array([xi.weight])), dtype=np.complex128)[0])
-        return np.full(xi.dim, c, dtype=np.complex128)
-
-    sym = MatrixSymbol(group, "scalar", envelope, matrix_fn, radial_fn=profile, diag_fn=diag_fn)
+    sym = MatrixSymbol(group, "scalar", envelope, None, radial_fn=profile, diag_fn=diag_fn)
     if check:
         _check_envelope(sym)
     return sym
@@ -184,31 +193,58 @@ def weight_power_symbol(group: GroupModel, coeff: complex, alpha: float) -> Matr
     return scalar_symbol(group, profile, DecayEnvelope(abs(coeff), alpha), check=False)
 
 
+def _diagonal(
+    group: GroupModel,
+    diag_fn: Callable[[DualChunk], np.ndarray],
+    envelope: DecayEnvelope,
+    check: bool = False,
+) -> MatrixSymbol:
+    sym = MatrixSymbol(group, "diagonal", envelope, None, diag_fn=diag_fn)
+    if check:
+        _check_envelope(sym)
+    return sym
+
+
 def diagonal_symbol(
     group: GroupModel,
     diag: Callable[[DualElement], np.ndarray],
     envelope: DecayEnvelope,
     check: bool = True,
 ) -> MatrixSymbol:
-    """Symbol whose value at each class is the diagonal matrix diag(xi)."""
+    """Symbol whose value at each class is the diagonal matrix diag(xi).
 
-    def matrix_fn(xi: DualElement) -> np.ndarray:
-        return np.diag(np.asarray(diag(xi), dtype=np.complex128))
+    ``diag`` is called once per class; a vector of the wrong length raises
+    InvalidArgumentError naming the class.
+    """
 
-    sym = MatrixSymbol(group, "diagonal", envelope, matrix_fn, diag_fn=diag)
-    if check:
-        _check_envelope(sym)
-    return sym
+    def diag_fn(chunk: DualChunk) -> np.ndarray:
+        parts = []
+        for xi in chunk.elements():
+            vec = np.asarray(diag(xi), dtype=np.complex128)
+            if vec.shape != (xi.dim,):
+                raise InvalidArgumentError(
+                    f"diagonal evaluator returned shape {vec.shape} at {xi.label} of dimension {xi.dim}"
+                )
+            parts.append(vec)
+        return np.concatenate(parts)
+
+    return _diagonal(group, diag_fn, envelope, check)
 
 
 def diag_signed_symbol(group: GroupModel, alpha: float) -> MatrixSymbol:
     """The alternating-sign diagonal test: diag(+1, -1, +1, ...) * <xi>**alpha."""
 
-    def diag(xi: DualElement) -> np.ndarray:
-        signs = np.where(np.arange(xi.dim) % 2 == 0, 1.0, -1.0)
-        return (xi.weight**alpha * signs).astype(np.complex128)
+    def diag_fn(chunk: DualChunk) -> np.ndarray:
+        dims = chunk.dims.astype(np.int64)
+        # entry j of a class at chunk offset o sits at position o + j, so its
+        # sign (-1)**j alternates over the chunk, flipped where o is odd
+        start_signs = 1.0 - 2.0 * ((np.cumsum(dims) - dims) & 1)
+        out = np.zeros(int(dims.sum()), dtype=np.complex128)
+        out.real = np.repeat(chunk.weights**alpha * start_signs, dims)
+        out.real[1::2] *= -1.0
+        return out
 
-    return diagonal_symbol(group, diag, DecayEnvelope(1.0, alpha), check=False)
+    return _diagonal(group, diag_fn, DecayEnvelope(1.0, alpha))
 
 
 def dense_symbol(
@@ -244,7 +280,7 @@ def add_symbols(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
         return scalar_symbol(a.group, lambda w: np.asarray(fa(w)) + np.asarray(fb(w)), env, check=False)
     if a.diag_fn is not None and b.diag_fn is not None:
         da, db = a.diag_fn, b.diag_fn
-        return diagonal_symbol(a.group, lambda xi: np.asarray(da(xi)) + np.asarray(db(xi)), env, check=False)
+        return _diagonal(a.group, lambda chunk: np.asarray(da(chunk)) + np.asarray(db(chunk)), env)
     ea, eb = a.evaluate, b.evaluate
     return dense_symbol(a.group, lambda xi: ea(xi) + eb(xi), env, check=False)
 
@@ -257,7 +293,7 @@ def scale_symbol(c: complex, a: MatrixSymbol) -> MatrixSymbol:
         return scalar_symbol(a.group, lambda w: c * np.asarray(fa(w)), env, check=False)
     if a.diag_fn is not None:
         da = a.diag_fn
-        return diagonal_symbol(a.group, lambda xi: c * np.asarray(da(xi)), env, check=False)
+        return _diagonal(a.group, lambda chunk: c * np.asarray(da(chunk)), env)
     ea = a.evaluate
     return dense_symbol(a.group, lambda xi: c * ea(xi), env, check=False)
 

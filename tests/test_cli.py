@@ -1,5 +1,7 @@
 import json
+import math
 import re
+from pathlib import Path
 
 import pytest
 
@@ -212,6 +214,49 @@ def test_sweep_emits_harmonic_series(tmp_path):
     assert lines[0] == "N,logN,S,ratio,slope"
     s_values = [float(line.split(",")[2]) for line in lines[1:]]
     assert s_values == pytest.approx([1.5, 25.0 / 12.0, 761.0 / 280.0], rel=1e-12)
+
+
+_CONFIGS = sorted((Path(__file__).resolve().parents[1] / "configs").glob("*.json"))
+
+
+@pytest.mark.parametrize("config", _CONFIGS, ids=[p.stem for p in _CONFIGS])
+def test_shipped_config_runs(tmp_path, monkeypatch, config):
+    monkeypatch.chdir(tmp_path)  # series outputs are relative paths
+    task = json.loads(config.read_text())["task"]
+    assert cli.main([task, "--config", str(config), "--out", "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert math.isfinite(report["value"]["re"]) and math.isfinite(report["value"]["im"])
+    assert math.isfinite(report["error_bar"])
+
+
+def test_sweep_value_and_bar_come_from_the_slope_estimator(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = Path(__file__).resolve().parents[1] / "configs" / "su2_sweep.json"
+    assert cli.main(["sweep", "--config", str(config), "--out", "report.json"]) == 0
+    report = json.loads((tmp_path / "report.json").read_text())
+    last_row = (tmp_path / "su2_sweep.csv").read_text().strip().splitlines()[-1]
+    # with 12 entries the estimator's window is the last running slope's
+    assert report["value"] == {"re": float(last_row.split(",")[4]), "im": 0.0}
+    assert 0.0 < report["error_bar"] < 1e-2
+    assert abs(report["value"]["re"] - 1.0) <= report["error_bar"] + 0.01
+    assert report["flags"] == []
+
+
+@pytest.mark.parametrize("count", [1, 3])
+def test_short_sweep_reports_zero_with_a_flag(tmp_path, count):
+    payload = {
+        "group": {"kind": "su2"},
+        "symbol": {"family": "weight_power", "alpha": -3.0},
+        "task": "sweep",
+        "schedule": {"start": 2, "factor": 2, "count": count},
+    }
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    assert cli.main(["sweep", "--config", cfg, "--out", out]) == 0
+    report = json.loads(open(out).read())
+    assert report["value"] == {"re": 0.0, "im": 0.0} and report["error_bar"] == 0.0
+    assert report["flags"] == [cli.SHORT_SWEEP_FLAG]
+    assert len(open(report["series_path"]).read().strip().splitlines()) == count + 1
 
 
 def test_sweep_zero_symbol(tmp_path):

@@ -11,11 +11,15 @@ from hypothesis import strategies as st
 from ncresidue import (
     SU2,
     DecayEnvelope,
+    MatrixSymbol,
     Torus,
+    add_symbols,
     dense_symbol,
+    diag_signed_symbol,
     diagonal_symbol,
     geometric_schedule,
     scalar_symbol,
+    scale_symbol,
     sum_series,
     weight_power_symbol,
     zeta_trace,
@@ -159,6 +163,77 @@ def test_dense_four_norms_bit_identical_across_blas_threads(dense_four):
     one = _bits_with_blas_threads(1)
     assert one == _bits_with_blas_threads(2)
     assert one == dense_four.tobytes().hex()
+
+
+# ---------------------------------------------------------------------------
+# diagonal symbols are evaluated and reduced one dual chunk at a time
+
+_C = 1.5 - 0.5j
+_ZETA_S = np.array([1.6, 0.8, 0.4])
+_CHUNK_GROUPS = {"SU2": (SU2(), -3.0, [4.0, 16.0, 64.0, 256.0]), "T2": (Torus(2), -2.0, [4.0, 16.0, 32.0])}
+
+
+def _signed_diagonal(xi, alpha):
+    return _C * xi.weight**alpha * np.where(np.arange(xi.dim) % 2 == 0, 1.0, -1.0)
+
+
+def _signed_representations(group, alpha):
+    """c * diag(+1, -1, ...) * <xi>**alpha: per-class diagonal, chunk-vectorised diagonal, dense."""
+    env = DecayEnvelope(abs(_C), alpha)
+    return {
+        "per-class": diagonal_symbol(group, lambda xi: _signed_diagonal(xi, alpha), env, check=False),
+        "vectorised": scale_symbol(_C, diag_signed_symbol(group, alpha)),
+        "dense": dense_symbol(group, lambda xi: np.diag(_signed_diagonal(xi, alpha)), env, check=False),
+    }
+
+
+@pytest.mark.parametrize("group", sorted(_CHUNK_GROUPS))
+@pytest.mark.parametrize("mode, s", [("abs", 0.0), ("four", 0.0), ("signed", _ZETA_S)])
+def test_structure_tag_does_not_change_chunk_sums(group, mode, s):
+    grp, alpha, schedule = _CHUNK_GROUPS[group]
+    sums = {
+        name: dualsum.annulus_sums(sym, schedule, mode, s=s)
+        for name, sym in _signed_representations(grp, alpha).items()
+    }
+    ref = sums.pop("per-class")
+    assert np.max(np.abs(ref)) > 0.0
+    for got in sums.values():
+        assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("group", sorted(_CHUNK_GROUPS))
+def test_one_class_diagonal_is_its_slice_of_the_chunk(group):
+    grp, alpha, schedule = _CHUNK_GROUPS[group]
+    reps = _signed_representations(grp, alpha)
+    symbols = [
+        reps["per-class"],
+        reps["vectorised"],
+        diag_signed_symbol(grp, alpha),
+        weight_power_symbol(grp, _C, alpha),
+        add_symbols(reps["per-class"], weight_power_symbol(grp, 0.5, alpha)),
+    ]
+    for chunk in grp.dual_chunks(0.0, schedule[-1]):
+        offsets = np.concatenate(([0], np.cumsum(chunk.dims.astype(np.int64))))
+        for sym in symbols:
+            flat = sym.diag_fn(chunk)
+            for el, a, b in zip(chunk.elements(), offsets[:-1], offsets[1:]):
+                assert sym.diagonal(el).tobytes() == np.asarray(flat[a:b], dtype=np.complex128).tobytes()
+
+
+def test_wrong_diagonal_length_raises_naming_the_class():
+    def short_at_level_3(xi):
+        return np.ones(xi.dim - 1 if xi.label == 3 else xi.dim)
+
+    sym = diagonal_symbol(SU2(), short_at_level_3, DecayEnvelope(1.0, -3.0), check=False)
+    for mode in ("abs", "signed", "four"):
+        with pytest.raises(InvalidArgumentError, match=r"shape \(3,\) at 3 of dimension 4"):
+            dualsum.annulus_sums(sym, [8.0], mode)
+    with pytest.raises(InvalidArgumentError, match="at 3 of dimension 4"):
+        sym.diagonal(SU2().dual_elements(4.0)[3])
+    # a chunk evaluator returning the wrong total length is refused too
+    chunky = MatrixSymbol(SU2(), "diagonal", DecayEnvelope(1.0, -3.0), None, diag_fn=lambda chunk: np.ones(3))
+    with pytest.raises(InvalidArgumentError, match=r"shape \(3,\) for 36 entries"):
+        dualsum.annulus_sums(chunky, [8.0], "signed")
 
 
 # ---------------------------------------------------------------------------

@@ -144,6 +144,56 @@ def test_annulus_partition(t2, su2):
 
 
 # ---------------------------------------------------------------------------
+# chunks hold at most groups._CHUNK_ENTRIES diagonal entries
+
+
+def _entries(chunk):
+    return int(chunk.dims.sum())
+
+
+@pytest.mark.parametrize(
+    "lo, hi",
+    [(0.0, 256.0), (0.0, 2048.0), (100.5, 700.25), (181.0, 183.0), (16380.0, 16390.0), (5.0, 5.5)],
+)
+def test_su2_chunks_are_bounded_and_cover_the_annulus_once(su2, lo, hi):
+    chunks = list(su2.dual_chunks(lo, hi))
+    for chunk in chunks:
+        assert _entries(chunk) <= groups._CHUNK_ENTRIES or len(chunk) == 1
+        assert np.array_equal(chunk.dims, chunk.labels + 1.0)
+    # consecutive chunks could not have been merged under the bound
+    for a, b in zip(chunks, chunks[1:]):
+        assert _entries(a) + b.dims[0] > groups._CHUNK_ENTRIES
+    labels = np.concatenate([c.labels for c in chunks]) if chunks else np.zeros(0, dtype=np.int64)
+    assert np.array_equal(labels, np.arange(math.floor(lo), math.floor(hi)))
+    again = [(c.labels[0], c.labels[-1]) for c in su2.dual_chunks(lo, hi)]
+    assert again == [(c.labels[0], c.labels[-1]) for c in chunks]
+
+
+def test_su2_levels_beyond_the_bound_are_single_class_chunks(su2):
+    ell = groups._CHUNK_ENTRIES
+    chunks = list(su2.dual_chunks(ell - 2.0, ell + 3.0))
+    # levels ell - 2 .. ell + 2 have d = ell - 1 .. ell + 3: one class each
+    assert [c.labels.tolist() for c in chunks] == [[ell - 2], [ell - 1], [ell], [ell + 1], [ell + 2]]
+
+
+@pytest.mark.parametrize("n, hi", [(1, 20000.0), (2, 100.0), (3, 20.0)])
+def test_torus_chunks_are_bounded_and_lexicographic(n, hi):
+    g = Torus(n)
+    chunks = list(g.dual_chunks(3.0, hi))
+    assert len(chunks) > 1
+    assert all(0 < len(c) <= groups._CHUNK_ENTRIES for c in chunks)
+    labels = np.concatenate([c.labels.reshape(len(c), -1) for c in chunks])
+    assert len({tuple(r) for r in labels.tolist()}) == len(labels)
+    assert labels.tolist() == sorted(labels.tolist())
+    q = 1 + (labels * labels).sum(axis=1)
+    assert np.all((q > 9) & (q <= hi * hi))
+    side = np.arange(-math.floor(hi), math.floor(hi) + 1)
+    grid = np.stack(np.meshgrid(*([side] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    qq = 1 + (grid * grid).sum(axis=1)
+    assert len(labels) == int(np.count_nonzero((qq > 9) & (qq <= hi * hi)))
+
+
+# ---------------------------------------------------------------------------
 # radial shells against the enumeration oracle
 
 
