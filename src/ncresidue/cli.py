@@ -7,9 +7,10 @@ configuration apart from the wall-clock field; floats are printed with 17
 significant digits so parsed values round-trip exactly.
 
 Exit codes: 0 success, 2 flagged (result present but unreliable),
-1 numerical failure, 64 malformed configuration or usage.  A sweep whose
-series is too short for ``weakl1.estimate_slope`` still exits 0: its CSV is
-written, and its report carries value 0 and ``SHORT_SWEEP_FLAG``.
+1 numerical failure, 64 malformed configuration (a non-finite number such
+as NaN or Infinity included) or usage.  A sweep whose series is too short
+for ``weakl1.estimate_slope`` still exits 0: its CSV is written, and its
+report carries value 0 and ``SHORT_SWEEP_FLAG``.
 """
 
 from __future__ import annotations
@@ -137,7 +138,10 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
     group = _build_group(raw.get("group"))
     symbol_spec = raw.get("symbol")
     _require(isinstance(symbol_spec, dict), "config needs a symbol object")
-    build_symbol(group, symbol_spec)  # validate the family and parameters now
+    try:
+        build_symbol(group, symbol_spec)  # validate the family and parameters now
+    except (InvalidArgumentError, ArithmeticError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid symbol parameters: {exc}") from None
 
     schedule: list = []
     if task in ("weakl1", "residue", "sweep"):
@@ -187,6 +191,7 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
     zeta_max = zeta_spec.get("max_cutoff")
     if zeta_max is not None:
         zeta_max = float(zeta_max)
+        _require(math.isfinite(zeta_max) and zeta_max >= 1.0, "zeta.max_cutoff must be finite and >= 1")
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output options must be an object")
@@ -478,6 +483,14 @@ def _build_parser() -> _Parser:
     return parser
 
 
+def _finite_number(text: str) -> float:
+    """A JSON number, refused if it is NaN, +-Infinity or overflows to them."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"non-finite number {text} in config")
+    return value
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
@@ -486,13 +499,12 @@ def main(argv=None) -> int:
         return USAGE_EXIT
     try:
         with open(args.config) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)
+        config = parse_config(raw, task_override=args.command)
     except (OSError, json.JSONDecodeError) as exc:
         parser.print_usage(sys.stderr)
         print(f"ncres: cannot read config {args.config!r}: {exc}", file=sys.stderr)
         return USAGE_EXIT
-    try:
-        config = parse_config(raw, task_override=args.command)
     except ConfigError as exc:
         parser.print_usage(sys.stderr)
         print(f"ncres: config error: {exc}", file=sys.stderr)

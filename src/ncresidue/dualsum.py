@@ -12,20 +12,21 @@ evaluated and solved with numpy's bundled OpenBLAS on one thread
 OPENBLAS_NUM_THREADS; with another BLAS build large dense classes may
 depend on its thread count.
 
-Every block reduces through one kernel, ``_reduce(rows, mult, weights, s)``:
-the sum of mult * rows * weights**(-s) along each row, where the rows are
-f(values) for the mode (``_channels``) and the factor weights**(-s) is
-skipped when s == 0:
+Every block reduces through one kernel, ``_reduce(rows, mult, factor)``:
+the sums of mult * rows * factor along each row, where the rows are
+f(values) for the mode (``_channels``):
 
 * ``abs``     sum of d * Tr|sigma|            (one real channel)
 * ``signed``  sum of d * Tr sigma             (one complex channel)
 * ``four``    d * (Tr R+, Tr R-, Tr I+, Tr I-) with R = Re sigma, I = Im sigma
 
-The zeta trace sum of d * Tr sigma * weight**(-s) is ``signed`` with s > 0.
-In ``signed`` mode s may also be a 1-D array: the block is enumerated and
-evaluated once and weighted per s, one channel per s, each summed along its
-own contiguous row exactly as a single s is.
-The producers of (values, mult, weights) are:
+``factor`` holds the caller's factor rows: ``annulus_sums`` takes a
+callable mapping a block's weights to k non-negative rows, one per weighting
+(the zeta trace passes w**(-s), and psi(w/N) * w**(-s) for its smoothed
+sums), and every channel is then summed once per row, along its own
+contiguous row, so a row's sum does not depend on the rows beside it.
+Without factors each term carries the factor 1 and no multiply is made.
+The producers of (values, mult, factor) are:
 
 * a shell block of a scalar symbol: the radial profile evaluated once per
   distinct weight, with the shell's exact multiplicity ``sum d^2``
@@ -34,11 +35,12 @@ The producers of (values, mult, weights) are:
   diagonals as one flat vector, its channel rows (|v|, v, or the sign
   splits of Re v and Im v; no eigensolver) are summed per class by
   ``np.add.reduceat`` at the class offsets, and the per-class sums go
-  through the kernel with multiplicity d and weight w, so w**(-s) is formed
-  once per class, never per entry;
-* a dense class, with multiplicity d: Tr sigma (``signed``), the trace norm
-  of sigma (``abs``), or the spectra of Re sigma and Im sigma, one LAPACK
-  call per class on the pair, as the two rows of a (2, d) array (``four``).
+  through the kernel with multiplicity d and the class's factors, so the
+  factors are formed once per class, never per entry;
+* a dense class, with multiplicity d and its column of the chunk's
+  factors: Tr sigma (``signed``), the trace norm of sigma (``abs``), or the
+  spectra of Re sigma and Im sigma, one LAPACK call per class on the pair,
+  as the two rows of a (2, d) array (``four``).
 
 A chunk holds at most ``groups._CHUNK_ENTRIES`` diagonal entries (or one
 class), so no evaluation holds more.  Dense classes are reduced one at a
@@ -56,16 +58,6 @@ from .symbols import MatrixSymbol
 
 _MODE_CHANNELS = {"abs": 1, "signed": 1, "four": 4}
 _MODE_DTYPE = {"abs": np.float64, "signed": np.complex128, "four": np.float64}
-
-
-def _decay(weights, s: np.ndarray) -> np.ndarray:
-    """weights**(-s), one row per s, each formed as for that s alone.
-
-    A dense class weight is a Python float and goes through Python's pow;
-    numpy's pow of an array of s, or of an array exponent, may differ in the
-    last bit.
-    """
-    return np.array([weights ** (-x) for x in s.tolist()]).reshape(len(s), -1)
 
 
 def _channels(values, mode: str) -> np.ndarray:
@@ -88,20 +80,16 @@ def _channels(values, mode: str) -> np.ndarray:
     return out.reshape(4, -1)  # (Re, Im) x (+, -) -> (R+, R-, I+, I-)
 
 
-def _reduce(rows: np.ndarray, mult, weights, s) -> np.ndarray:
-    """Channel vector of sum mult * rows * weights**(-s) along the last axis.
+def _reduce(rows: np.ndarray, mult, factor) -> np.ndarray:
+    """Channel sums of mult * rows * factor along the last axis, one row per factor row.
 
-    For an array s (``signed`` only: one row) the channels are the sums per s.
-    Real rows (``abs``, ``four``) are made for this sum and are scaled in
-    place, with no second block-sized temporary; complex (``signed``) rows
-    may be the caller's values and are not.
+    ``factor`` is (k, n), or None for one row of ones.  Real rows (``abs``,
+    ``four``) are made for this sum and are scaled by mult in place, with no
+    second block-sized temporary; complex (``signed``) rows may be the
+    caller's values and are not.
     """
     t = mult * rows if rows.dtype.kind == "c" else np.multiply(rows, mult, out=rows)
-    if isinstance(s, np.ndarray):  # not np.ndim: this runs once per dense class
-        return (t * _decay(weights, s)).sum(-1)
-    if s != 0.0:
-        t *= weights ** (-s)  # in place: no second block-sized temporary
-    return t.sum(-1)
+    return t.sum(-1)[None] if factor is None else (t * factor[:, None]).sum(-1)
 
 
 def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
@@ -123,13 +111,13 @@ def _dense_values(mat: np.ndarray, mode: str) -> np.ndarray:
     return np.where(np.abs(eig) > thr, eig, 0.0)
 
 
-def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, s) -> np.ndarray:
-    """Channel sum of one chunk of a diagonal symbol.
+def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, factor) -> np.ndarray:
+    """Channel sums of one chunk of a diagonal symbol, one row per factor row.
 
     The chunk's diagonals come as one flat vector; their channel rows are
     summed per class (``np.add.reduceat`` at the class offsets) and the
-    class sums go through the kernel with multiplicity d and weight w, so
-    w**(-s) is formed once per class.
+    class sums go through the kernel with multiplicity d and the class's
+    factors, which are formed once per class.
     """
     values = sym.chunk_diagonals(chunk)
     dims = chunk.dims.astype(np.int64)
@@ -146,28 +134,32 @@ def _diagonal_terms(sym: MatrixSymbol, chunk, mode: str, s) -> np.ndarray:
             for split in (np.maximum, np.minimum)
         ])
         per_class[1::2] *= -1.0  # (R+, -R-, I+, -I-) -> (R+, R-, I+, I-)
-    return _reduce(per_class, chunk.dims, chunk.weights, s)
+    return _reduce(per_class, chunk.dims, factor)
 
 
-def _block_terms(sym: MatrixSymbol, block, mode: str, s, nch: int) -> np.ndarray:
-    """Channel sum of one block: a (weights, mult) shell block or a dual chunk."""
+def _block_terms(sym: MatrixSymbol, block, mode: str, factors) -> np.ndarray:
+    """Channel sums of one block, shape (factor rows, channels).
+
+    A block is a (weights, mult) shell block or a dual chunk.
+    """
+    weights = block[0] if sym.radial_fn is not None else block.weights
+    factor = None if factors is None else np.asarray(factors(weights), dtype=np.float64)
     if sym.radial_fn is not None:
-        weights, mult = block
         # exact: multiplicities stay below 2**53
-        part = _reduce(_channels(sym.radial_profile(weights), mode), mult.astype(np.float64), weights, s)
+        part = _reduce(_channels(sym.radial_profile(weights), mode), block[1].astype(np.float64), factor)
     elif sym.diag_fn is not None:
-        weights = block.weights
-        part = _diagonal_terms(sym, block, mode, s)
+        part = _diagonal_terms(sym, block, mode, factor)
     else:
-        weights = block.weights
-        rows = np.zeros((len(block), nch), dtype=_MODE_DTYPE[mode])
+        k = 1 if factor is None else len(factor)
+        rows = np.zeros((len(block), k, _MODE_CHANNELS[mode]), dtype=_MODE_DTYPE[mode])
         with matcalc.one_blas_thread():
             for i, el in enumerate(block.elements()):
                 values = _dense_values(sym.evaluate(el), mode)
-                rows[i] = _reduce(_channels(values, mode), float(el.dim), el.weight, s)
+                column = None if factor is None else factor[:, i : i + 1]
+                rows[i] = _reduce(_channels(values, mode), float(el.dim), column)
         # four adds the class rows in order; the other modes sum each channel
         # pairwise along a contiguous row, as one channel always was
-        part = rows.sum(axis=0) if mode == "four" else np.ascontiguousarray(rows.T).sum(-1)
+        part = rows.sum(axis=0) if mode == "four" else np.ascontiguousarray(np.moveaxis(rows, 0, -1)).sum(-1)
     if not np.all(np.isfinite(part)):
         raise NumericalFailureError(
             f"non-finite {mode} sum over the classes of weight {weights[0]:g}..{weights[-1]:g}"
@@ -193,36 +185,35 @@ class _Kahan:
 
 
 def annulus_sums(
-    sym: MatrixSymbol, schedule, mode: str, s=0.0, lo: float = 0.0
+    sym: MatrixSymbol, schedule, mode: str, factors=None, lo: float = 0.0
 ) -> np.ndarray:
     """Channel sums per annulus of the cutoff schedule, shape (J, channels).
 
     Annulus j covers weights in (schedule[j-1], schedule[j]] (starting from
-    ``lo``), so every dual class is evaluated exactly once.  Each term
-    carries the factor weight**(-s).  In ``signed`` mode s may be a 1-D
-    array; the channels are then one column per s.  Cumulative sums of the
-    rows give the partial-sum series of the schedule.
+    ``lo``), so every dual class is evaluated exactly once.  ``factors``, if
+    given, maps a block's weights (a 1-D array) to k rows of non-negative
+    per-weight factors, each formed as if it were alone; every term then
+    carries each row's factor, and the channels are the mode's channels for
+    factor row 0, then row 1, and so on (k times as many).  Cumulative sums
+    of the rows give the partial-sum series of the schedule.
     """
     if mode not in _MODE_CHANNELS:
         raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
-    if np.ndim(s):
-        if mode != "signed" or np.ndim(s) != 1:
-            raise InvalidArgumentError("an array of s needs the signed mode and one axis")
-        s = np.asarray(s, dtype=np.float64)
     schedule = [float(x) for x in schedule]
     if not schedule:
         raise InvalidArgumentError("schedule must be non-empty")
     lo = float(lo)
     if schedule[0] < 1.0 or any(b <= a for a, b in zip([lo] + schedule, schedule)):
         raise InvalidArgumentError("schedule must be strictly increasing, >= 1 and above lo")
-    nch = len(s) if isinstance(s, np.ndarray) else _MODE_CHANNELS[mode]
+    # the number of factor rows, from one probe weight
+    k = 1 if factors is None else len(factors(np.ones(1)))
     dtype = _MODE_DTYPE[mode]
-    out = np.zeros((len(schedule), nch), dtype=dtype)
+    out = np.zeros((len(schedule), k * _MODE_CHANNELS[mode]), dtype=dtype)
     blocks_of = sym.group.radial_shells if sym.radial_fn is not None else sym.group.dual_chunks
     for j, hi in enumerate(schedule):
-        acc = _Kahan(nch, dtype)
+        acc = _Kahan(out.shape[1], dtype)
         for block in blocks_of(lo, hi):
-            acc.add(_block_terms(sym, block, mode, s, nch))
+            acc.add(_block_terms(sym, block, mode, factors).ravel())
         out[j] = acc.value()
         lo = hi
     return out

@@ -3,48 +3,57 @@
 For an invariant symbol of critical order -n the weighted trace
 f(-s) = sum over the dual of d * Tr sigma * weight**(-s) converges for
 s > 0 and has a simple pole C/s at s = 0; the residue of interest is
-C = lim s * f(-s).  A sample of f at a cutoff N is a partial sum plus a
-model of the tail beyond it; the cutoff doubles until the sample's bound
-falls below tol * max(1, |partial|).  All s values of a residue share one
-doubling loop: at each cutoff the dual blocks are enumerated, the symbol is
-evaluated and the tail's quadrature nodes are built once, and only the
-factor w^-s is applied per s (``dualsum.annulus_sums`` with an array of s).
-Each s keeps its own stopping rule and drops out of later cutoffs once it
-stops, so its sample is exactly the one it would get alone.  There are two
-routes to a sample.
+C = lim s * f(-s).
 
-Scalar symbols (a radial profile p of the weight): the partial sum is
-smoothed, sum d^2 p(w) w^-s psi(w/N) with a C^inf step psi that is 1 on
-[0, 1/2] and 0 on [1, inf), and the tail is the integral
+Every sample of f starts from the smoothed partial sums
+
+    S_psi(N) = sum d * Tr sigma * w^-s * psi(w/N)
+
+at the doubling cutoffs N = N0, 2 N0, ..., where psi is a C^inf step that
+is 1 on [0, 1/2] and 0 on [1, inf).  As psi(w/N) = 1 for w <= N/2,
+S_psi(N) is the sharp sum S(N/2) plus the psi-weighted annulus (N/2, N].
+One pass over that annulus (``dualsum.annulus_sums`` with the factor rows
+w^-s and psi(w/N) w^-s) gives both it and the sharp annulus carried into
+the next cutoff, so each class or shell is evaluated once per cutoff.  All
+s values of a residue share the pass; only their factor rows differ, each
+formed as for its s alone, so every s gets the samples it would get alone.
+Each s stops by its own rule and drops out of later cutoffs.
+
+The smoothed sum expands as S_psi(N) = f(-s) + sum_j a_j N^(-s-j) +
+O(N^-inf): the tail beyond a smooth cutoff is the integral of the symbol's
+homogeneous terms (Poisson summation on the torus, Euler-Maclaurin over the
+levels of SU(2)).  A sample reads f(-s) off it in one of two ways.
+
+Scalar symbols (a radial profile p of the weight) add the tail itself, the
+integral
 
     int p(w) w^-s (1 - psi(w/N)) dmu(w)
 
-against the group's shell density (``GroupModel.shell_density``).  Its
-integrand is smooth on the scale N, so the lattice sum it stands for
-differs from it by less than any power of N (Poisson summation on the
-torus, Euler-Maclaurin on SU(2)).  The integral is summed by Gauss-Legendre
-on [N/2, N], by Legendre panels in u = log(w/N) up to W = N e^U, and past W
-by the leading power law p(W) W^n rho W^-s / s.  The bound is
-TAIL_SAFETY_FACTOR times the change from the previous sample, plus the
-change between two quadrature orders, plus the change of p(w) w^n over the
-last panel; the first sample has no bound.  Samples settle near N = 128 on
-every group, so s can go down to 0.05.
+against the group's shell density (``GroupModel.shell_density``), summed
+by Gauss-Legendre on [N/2, N], by Legendre panels in u = log(w/N) up to
+W = N e^U, and past W by the leading power law p(W) W^n rho W^-s / s.  Its
+drift is the change between two quadrature orders plus the change of
+p(w) w^n over the last panel.  Samples settle near N = 128 on every group.
 
-Diagonal and dense symbols: the sum is truncated sharply at N and the tail
-is modelled from the declared envelope as c * rho * N**(-s) / s, with rho
-the leading counting-density coefficient of the group (vol(S^(n-1)) on the
-torus, 1 on SU(2)).  The model is added back steered by the phase of the
-partial sum, so that phase rotations of the symbol commute with sampling,
-and bounded by TAIL_SAFETY_FACTOR times itself.  Small s needs huge cutoffs
-here, which is why these symbols keep the cutoff budgets of
-``default_max_cutoff`` and the short ENVELOPE_S_SCHEDULE (1.6, 0.8, 0.4).
+Diagonal and dense symbols solve the last four S_psi(N) for
+(f, a_0, a_1, a_2) against (1, N^-s, N^(-s-1), N^(-s-2)), or for fewer
+unknowns while fewer cutoffs exist; no envelope constant enters.  Their
+drift is zero.
 
-Both routes read the residue off alike: g(s) = s * f(-s) is interpolated by
-the quadratic through the three smallest s and evaluated at 0.  The error
-bar is its distance from the line through the two smallest s, plus the
-sample bounds propagated through the quadratic's weights at 0.  A
-least-squares line through the same three points deviating by more than 10%
-flags a higher-order pole or a symbol of the wrong order.
+A sample's bound is TAIL_SAFETY_FACTOR * (|value - previous value| +
+drift); the first sample has none.  The cutoff doubles until the bound
+falls below tol * max(1, |S_psi(N)|) or the budget runs out
+(``default_max_cutoff``; a budget off the doubling grid rounds down to it).
+
+The residue is read off alike for every symbol: g(s) = s * f(-s) is
+interpolated by the quadratic through the three smallest s and evaluated
+at 0.  The error bar is its distance from the line through the two
+smallest s, plus the sample bounds propagated through the quadratic's
+weights at 0.  A least-squares line through the same three points
+deviating at 0 by more than 10% of the largest |g| (the samples' or the
+value's) flags a higher-order pole or a symbol of the wrong order; a
+convergent trace, whose g(s) = s * f(-s) runs to 0 along a line, is not
+flagged.
 """
 
 from __future__ import annotations
@@ -58,21 +67,17 @@ import numpy as np
 from . import dualsum
 from .errors import BudgetExceededError, InvalidArgumentError, NumericalFailureError
 from .groups import GroupModel
-from .symbols import MatrixSymbol, scalar_symbol
+from .symbols import MatrixSymbol
 
 DEFAULT_START_CUTOFF = 16.0
+DEFAULT_S_SCHEDULE = (0.2, 0.1, 0.05)
+DEFAULT_TOLERANCE = 1e-10
 TAIL_SAFETY_FACTOR = 2.0
 _ORDER_TOL = 1e-9
 
-# Scalar symbols: the integrated tail makes small s and tight tolerances cheap.
-RADIAL_S_SCHEDULE = (0.2, 0.1, 0.05)
-RADIAL_TOLERANCE = 1e-10
-
-# Diagonal and dense symbols: the envelope tail decays like N**(-s), so the
-# cutoff a sample needs grows like tol**(-1/s).  At s = 0.4 it stays within
-# every group's budget; SU(2) diagonal sums at s = 0.3 already ran for
-# minutes, evaluating each level's diagonal.
-ENVELOPE_S_SCHEDULE = (1.6, 0.8, 0.4)
+# Diagonal and dense symbols: S_psi at this many trailing cutoffs solves for
+# f(-s) and the coefficients of N^-s, N^(-s-1) and N^(-s-2).
+_RICHARDSON_POINTS = 4
 
 # The integrated radial tail: Gauss-Legendre orders on [N/2, N] and per
 # panel of u = log(w/N) in [0, _LOG_SPAN]; the first order of each pair
@@ -82,24 +87,19 @@ _LOG_SPAN = 40.0
 _LOG_PANELS = 10
 _PANEL_NODES = (16, 24)
 
-_TORUS_MAX_CUTOFF = {1: float(2**24), 2: float(2**11), 3: float(2**10)}
+# Cutoff budgets.  A non-scalar T^3 sum to 2^8 already visits about 7e7
+# classes; scalar symbols stop near N = 128 on every group.
+_MAX_CUTOFF = {"T1": float(2**24), "T2": float(2**11), "T3": float(2**8), "SU2": float(2**24)}
 
 
 def default_max_cutoff(group: GroupModel) -> float:
     """Largest truncation cutoff the dual sums can afford by default."""
-    if group.name == "SU2":
-        return float(2**24)
-    return _TORUS_MAX_CUTOFF[group.dim]
-
-
-def default_tolerance(group: GroupModel) -> float:
-    """Sample tolerance of the envelope route; scalar symbols use RADIAL_TOLERANCE."""
-    return 0.35 if (group.name != "SU2" and group.dim == 3) else 0.1
+    return _MAX_CUTOFF[group.name]
 
 
 @dataclass(frozen=True)
 class ZetaSample:
-    """One evaluation of f(-s): partial sum plus tail correction, and its bound."""
+    """One evaluation of f(-s): S_psi(N) as ``partial``, the correction added to it, and its bound."""
 
     s: float
     value: complex
@@ -126,47 +126,11 @@ def _check_critical_order(sym: MatrixSymbol) -> None:
 
 
 def _cutoffs(start: float, max_cutoff: float):
-    """start, 2 * start, ... clamped to and ending at max_cutoff."""
+    """start, 2 * start, ... up to max_cutoff, rounded down to this grid."""
     hi = float(start)
-    while True:
+    while hi <= max_cutoff:
         yield hi
-        if hi >= max_cutoff:
-            return
-        hi = min(hi * 2.0, float(max_cutoff))
-
-
-def _signed_sums(sym: MatrixSymbol, lo: float, hi: float, s: list) -> list:
-    return [complex(v) for v in dualsum.annulus_sums(sym, [hi], "signed", s, lo=lo)[0]]
-
-
-def _envelope_samples(sym: MatrixSymbol, s: list, cutoffs):
-    """Sharp partial sums with the envelope tail model added back.
-
-    A coroutine over the cutoffs: yields the samples of the s values still
-    sampled, and is sent the indices (into s) of those that go on.
-    """
-    rho = sym.group.density_coeff
-    c_env = sym.envelope.constant
-    acc = [complex(0.0)] * len(s)
-    lo = 0.0
-    active = range(len(s))
-    for hi in cutoffs:
-        samples = []
-        for i, part in zip(active, _signed_sums(sym, lo, hi, [s[i] for i in active])):
-            acc[i] += part
-            model = c_env * rho * hi ** (-s[i]) / s[i]
-            mag = abs(acc[i])
-            phase = acc[i] / mag if mag > 0.0 else complex(1.0)
-            samples.append(ZetaSample(
-                s=s[i],
-                value=acc[i] + model * phase,
-                truncation_cutoff=hi,
-                tail_bound=TAIL_SAFETY_FACTOR * model,
-                partial=acc[i],
-                tail_correction=model * phase,
-            ))
-        active = yield samples
-        lo = hi
+        hi *= 2.0
 
 
 def _step_parts(t: np.ndarray):
@@ -235,88 +199,88 @@ def _radial_tails(sym: MatrixSymbol, s: list, cut: float) -> list:
     return out
 
 
-def _radial_samples(sym: MatrixSymbol, s: list, cutoffs):
-    """Smoothed partial sums with the integrated radial tail added.
+def _factor_rows(s: list, cut: float, w: np.ndarray) -> np.ndarray:
+    """The rows w**(-v), then psi(w/cut) * w**(-v), for each v in s, each formed as for v alone."""
+    decay = np.array([w ** (-v) for v in s])
+    return np.concatenate((decay, decay * _step_parts(w / cut)[0]))
 
-    The sharp sum over weights <= N/2 is kept across cutoffs; the annulus
-    (N/2, N] goes through the same kernel as the scalar symbol p * psi(./N).
-    A coroutine over the cutoffs like ``_envelope_samples``.
+
+def _richardson(cuts: list, sums: list, s: float) -> complex:
+    """f(-s) from S_psi at the cutoffs: the solve against 1, N^-s, N^(-s-1), ...
+
+    As many unknowns as cutoffs; the cutoffs are scaled by the last one.
     """
-    profile = sym.radial_fn
-    sharp = [complex(0.0)] * len(s)
-    sharp_hi = 0.0
-    prev = [None] * len(s)
-    active = range(len(s))
-    for hi in cutoffs:
-        s_active = [s[i] for i in active]
-        half = 0.5 * hi
-        if half > sharp_hi:
-            for i, part in zip(active, _signed_sums(sym, sharp_hi, half, s_active)):
-                sharp[i] += part
-            sharp_hi = half
-        smoothed = scalar_symbol(
-            sym.group,
-            lambda w, hi=hi: profile(w) * _step_parts(w / hi)[0],
-            sym.envelope,
-            check=False,
-        )
-        annulus = _signed_sums(smoothed, half, hi, s_active)
-        samples = []
-        for i, part, (tail, drift) in zip(active, annulus, _radial_tails(sym, s_active, hi)):
-            partial = sharp[i] + part
-            value = partial + tail
-            if not (np.isfinite(value) and math.isfinite(drift)):
-                raise NumericalFailureError(f"non-finite zeta sample at s = {s[i]:g}, cutoff {hi:g}")
-            bound = math.inf if prev[i] is None else TAIL_SAFETY_FACTOR * (abs(value - prev[i]) + drift)
-            samples.append(ZetaSample(
-                s=s[i],
-                value=value,
-                truncation_cutoff=hi,
-                tail_bound=bound,
-                partial=partial,
-                tail_correction=tail,
-            ))
-            prev[i] = value
-        active = yield samples
+    x = np.array(cuts) / cuts[-1]
+    basis = np.array([np.ones_like(x)] + [x ** (-s - j) for j in range(len(x) - 1)]).T
+    return complex(np.linalg.solve(basis, np.array(sums))[0])
 
 
 def _stops(sample: ZetaSample, tol: float, max_cutoff: float, min_cutoff) -> bool:
     """Whether sampling of its s ends with this sample."""
     satisfied = sample.tail_bound <= tol * max(1.0, abs(sample.partial))
     forced = min_cutoff is not None and sample.truncation_cutoff < min_cutoff
-    return satisfied and (not forced or sample.truncation_cutoff >= max_cutoff)
+    # the last cutoff of the grid cannot be forced further
+    return satisfied and (not forced or 2.0 * sample.truncation_cutoff > max_cutoff)
 
 
 def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None) -> list:
     """One sample of f(-s) per s value, all from one doubling loop.
 
-    Every cutoff enumerates, evaluates and (on the radial route) builds the
-    tail's quadrature once for all s still sampled; only the w^-s weighting
-    is per s.  Each s stops by its own rule and drops out; if the budget
+    Every cutoff enumerates, evaluates and (for scalar symbols) builds the
+    tail's quadrature once for all s still sampled; only the factor rows
+    are per s.  Each s stops by its own rule and drops out; if the budget
     runs out first, the first s left raises BudgetExceededError.
     """
     _check_critical_order(sym)
-    if min(s_values) <= 0.0:
-        raise InvalidArgumentError(f"s must be positive, got {min(s_values)}")
-    if tol <= 0.0:
+    s_values = [float(v) for v in s_values]
+    if not all(v > 0.0 for v in s_values):
+        raise InvalidArgumentError(f"s must be positive, got {s_values}")
+    if not tol > 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
-    if max_cutoff is None:
-        max_cutoff = default_max_cutoff(sym.group)
-    route = _radial_samples if sym.radial_fn is not None else _envelope_samples
-    passes = route(sym, [float(v) for v in s_values], _cutoffs(start_cutoff, max_cutoff))
+    max_cutoff = default_max_cutoff(sym.group) if max_cutoff is None else float(max_cutoff)
+    if not (math.isfinite(max_cutoff) and 1.0 <= start_cutoff <= max_cutoff):
+        raise InvalidArgumentError(
+            f"max_cutoff must be finite and at least the start cutoff {start_cutoff:g}, got {max_cutoff}"
+        )
+    radial = sym.radial_fn is not None
+    sharp = [complex(0.0)] * len(s_values)  # S(N) at the last cutoff
+    smoothed = [[] for _ in s_values]  # S_psi(N) at the trailing cutoffs
     found = [None] * len(s_values)
+    cuts = []
+    lo = 0.0
     active = list(range(len(s_values)))
-    samples = next(passes)
-    while True:
-        for i, sample in zip(active, samples):
-            found[i] = sample
+    for hi in _cutoffs(start_cutoff, max_cutoff):
+        s_active = [s_values[i] for i in active]
+        sums = dualsum.annulus_sums(
+            sym, [hi], "signed", functools.partial(_factor_rows, s_active, hi), lo=lo
+        )[0]
+        cuts = (cuts + [hi])[-_RICHARDSON_POINTS:]
+        tails = _radial_tails(sym, s_active, hi) if radial else [(None, 0.0)] * len(s_active)
+        for a, (i, (tail, drift)) in enumerate(zip(active, tails)):
+            partial = sharp[i] + complex(sums[len(s_active) + a])
+            sharp[i] += complex(sums[a])
+            if radial:
+                value = partial + tail
+            else:
+                smoothed[i] = (smoothed[i] + [partial])[-_RICHARDSON_POINTS:]
+                value = _richardson(cuts, smoothed[i], s_values[i])
+                tail = value - partial
+            if not (np.isfinite(value) and math.isfinite(drift)):
+                raise NumericalFailureError(f"non-finite zeta sample at s = {s_values[i]:g}, cutoff {hi:g}")
+            prev = found[i]
+            bound = math.inf if prev is None else TAIL_SAFETY_FACTOR * (abs(value - prev.value) + drift)
+            found[i] = ZetaSample(
+                s=s_values[i],
+                value=value,
+                truncation_cutoff=hi,
+                tail_bound=bound,
+                partial=partial,
+                tail_correction=tail,
+            )
         active = [i for i in active if not _stops(found[i], tol, max_cutoff, min_cutoff)]
         if not active:
             return found
-        try:
-            samples = passes.send(active)
-        except StopIteration:
-            break
+        lo = hi
     best = found[active[0]]
     raise BudgetExceededError(
         f"tail bound {best.tail_bound:.3e} above tolerance at the cutoff budget {max_cutoff:g}",
@@ -338,9 +302,8 @@ def zeta_trace(
     tol * max(1, |partial|); raises BudgetExceededError (with the best
     sample attached) if the budget runs out first.  ``min_cutoff`` forces a
     larger cutoff than the stopping rule requires, which is useful for
-    verifying the advertised bound.  Scalar symbols take the smoothed,
-    integrated-tail route, others the envelope route (see the module
-    docstring).
+    verifying the advertised bound.  See the module docstring for how a
+    sample is formed.
     """
     return _zeta_samples(sym, [s], tol, start_cutoff, max_cutoff, min_cutoff)[0]
 
@@ -366,15 +329,13 @@ def zeta_residue(
 ) -> ZetaResidue:
     """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+.
 
-    Defaults depend on the route: RADIAL_S_SCHEDULE and RADIAL_TOLERANCE
-    for scalar symbols, ENVELOPE_S_SCHEDULE and ``default_tolerance`` of the
-    group otherwise.  All s values are sampled in one doubling loop.
+    The defaults, DEFAULT_S_SCHEDULE and DEFAULT_TOLERANCE, serve every
+    symbol structure.  All s values are sampled in one doubling loop.
     """
-    radial = sym.radial_fn is not None
     if s_schedule is None:
-        s_schedule = RADIAL_S_SCHEDULE if radial else ENVELOPE_S_SCHEDULE
+        s_schedule = DEFAULT_S_SCHEDULE
     if tol is None:
-        tol = RADIAL_TOLERANCE if radial else default_tolerance(sym.group)
+        tol = DEFAULT_TOLERANCE
     s_schedule = [float(v) for v in s_schedule]
     if len(s_schedule) < 3:
         raise InvalidArgumentError("s schedule needs at least 3 values")
@@ -395,6 +356,7 @@ def zeta_residue(
     )
     bar = abs(value - line) + propagated
     flags = ()
-    if abs(value - complex(_intercept_weights(sv) @ gv)) > 0.1 * abs(value) + propagated:
+    scale = max(abs(value), float(np.max(np.abs(gv))))
+    if abs(value - complex(_intercept_weights(sv) @ gv)) > 0.1 * scale + propagated:
         flags = ("higher-order pole or wrong order",)
     return ZetaResidue(value=value, error_bar=bar, samples=samples, flags=flags)

@@ -45,6 +45,13 @@ def _conjugated(u, diag):
     return (u * diag) @ u.conj().T
 
 
+
+def _powers(s):
+    """``annulus_sums`` factors: the row w**(-v) for each v in s, or none for s == 0."""
+    s = np.atleast_1d(s).tolist()
+    return None if s == [0.0] else (lambda w: np.array([w ** (-v) for v in s]))
+
+
 # ---------------------------------------------------------------------------
 # the structure tag never changes an answer
 
@@ -93,7 +100,7 @@ def test_structure_tag_does_not_change_annulus_sums(group, mode, s, modulus, pha
     grp, schedule = _GROUPS[group]
     coeff = complex(modulus * np.cos(phase), modulus * np.sin(phase))
     ref, *others = (
-        dualsum.annulus_sums(sym, schedule, mode, s=s)
+        dualsum.annulus_sums(sym, schedule, mode, _powers(s))
         for sym in _representations(grp, coeff, alpha)
     )
     atol = 1e-9 * np.max(np.abs(ref))
@@ -192,13 +199,30 @@ def _signed_representations(group, alpha):
 def test_structure_tag_does_not_change_chunk_sums(group, mode, s):
     grp, alpha, schedule = _CHUNK_GROUPS[group]
     sums = {
-        name: dualsum.annulus_sums(sym, schedule, mode, s=s)
+        name: dualsum.annulus_sums(sym, schedule, mode, _powers(s))
         for name, sym in _signed_representations(grp, alpha).items()
     }
     ref = sums.pop("per-class")
     assert np.max(np.abs(ref)) > 0.0
     for got in sums.values():
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("group", sorted(_CHUNK_GROUPS))
+def test_each_factor_row_is_summed_as_if_alone(group):
+    # the zeta trace weights one pass by a row per s; no row's sum may
+    # depend on the rows beside it, on any structure path
+    grp, alpha, schedule = _CHUNK_GROUPS[group]
+    schedule = schedule[:2]  # dense classes cost d^3 each
+    reps = _signed_representations(grp, alpha)
+    reps["scalar"] = weight_power_symbol(grp, _C, alpha)
+    for sym in reps.values():
+        for mode in ("signed", "four"):
+            together = dualsum.annulus_sums(sym, schedule, mode, _powers(_ZETA_S))
+            nch = together.shape[1] // len(_ZETA_S)
+            for j, v in enumerate(_ZETA_S):
+                alone = dualsum.annulus_sums(sym, schedule, mode, _powers(v))
+                assert together[:, j * nch : (j + 1) * nch].tobytes() == alone.tobytes()
 
 
 @pytest.mark.parametrize("group", sorted(_CHUNK_GROUPS))
@@ -282,20 +306,20 @@ def test_radial_sums_never_enumerate_the_dual(monkeypatch):
         monkeypatch.setattr(type(group), "dual_chunks", no_enumeration)
         sym = weight_power_symbol(group, 1.0, -group.dim)
         for mode in ("abs", "signed", "four"):
-            assert np.all(np.isfinite(dualsum.annulus_sums(sym, [4.0, 8.0], mode, s=0.5)))
+            assert np.all(np.isfinite(dualsum.annulus_sums(sym, [4.0, 8.0], mode, _powers(0.5))))
         zeta_trace(sym, 1.6, 0.35)
 
 
 def test_lower_bound_starts_the_first_annulus():
     sym = weight_power_symbol(Torus(2), 1.0 + 0.5j, -2.0)
-    whole = dualsum.annulus_sums(sym, [4.0, 8.0, 16.0], "signed", s=0.5)
-    tail = dualsum.annulus_sums(sym, [8.0, 16.0], "signed", s=0.5, lo=4.0)
+    whole = dualsum.annulus_sums(sym, [4.0, 8.0, 16.0], "signed", _powers(0.5))
+    tail = dualsum.annulus_sums(sym, [8.0, 16.0], "signed", _powers(0.5), lo=4.0)
     assert np.array_equal(tail, whole[1:])
     with pytest.raises(InvalidArgumentError):
-        dualsum.annulus_sums(sym, [4.0], "signed", s=0.5, lo=4.0)
-    # the zeta trace is the signed mode with s > 0, not a mode of its own
+        dualsum.annulus_sums(sym, [4.0], "signed", _powers(0.5), lo=4.0)
+    # the zeta trace is the signed mode with factor rows, not a mode of its own
     with pytest.raises(InvalidArgumentError, match="unknown reduction mode"):
-        dualsum.annulus_sums(sym, [4.0], "zeta", s=0.5)
+        dualsum.annulus_sums(sym, [4.0], "zeta", _powers(0.5))
 
 
 def test_non_finite_zeta_sample_raises():

@@ -24,9 +24,9 @@ from ncresidue import (
 )
 from ncresidue import dualsum
 from ncresidue.zeta import (
+    DEFAULT_S_SCHEDULE,
     DEFAULT_START_CUTOFF,
-    RADIAL_S_SCHEDULE,
-    RADIAL_TOLERANCE,
+    DEFAULT_TOLERANCE,
     TAIL_SAFETY_FACTOR,
 )
 from ncresidue.errors import BudgetExceededError, InvalidArgumentError
@@ -80,14 +80,29 @@ def test_budget_exceeded_carries_best_sample(t1):
     assert best.tail_bound > 0.0
 
 
+def test_max_cutoff_is_validated_and_rounds_down_to_the_doubling_grid(t1):
+    sym = weight_power_symbol(t1, 1.0, -1.0)
+    for bad in (math.nan, math.inf, 0.5, DEFAULT_START_CUTOFF / 2):
+        with pytest.raises(InvalidArgumentError, match="max_cutoff"):
+            zeta_trace(sym, s=0.5, tol=1e-9, max_cutoff=bad)
+        with pytest.raises(InvalidArgumentError, match="max_cutoff"):
+            zeta_residue(sym, max_cutoff=bad)
+    # the smoothed sums need doubling cutoffs: 100 ends the grid at 64
+    with pytest.raises(BudgetExceededError) as exc_info:
+        zeta_trace(sym, s=0.5, tol=1e-30, max_cutoff=100.0)
+    assert exc_info.value.best.truncation_cutoff == 64.0
+    # min_cutoff beyond the grid stops at its last cutoff
+    smp = zeta_trace(sym, s=0.5, tol=1e-3, max_cutoff=100.0, min_cutoff=100.0)
+    assert smp.truncation_cutoff == 64.0
+
+
 def test_torus3_small_s_sample_within_default_budget(t3):
-    # s = 0.05 is far below the 0.4 the envelope route reaches on T^3 within
-    # 2^10; the integrated radial tail meets the default radial tolerance
-    # near N = 128
+    # the integrated radial tail meets the default tolerance near N = 128,
+    # at the smallest default s
     sym = weight_power_symbol(t3, 1.0, -3.0)
-    smp = zeta_trace(sym, s=0.05, tol=RADIAL_TOLERANCE)
+    smp = zeta_trace(sym, s=0.05, tol=DEFAULT_TOLERANCE)
     assert smp.truncation_cutoff <= 256.0
-    assert smp.tail_bound <= RADIAL_TOLERANCE * max(1.0, abs(smp.partial))
+    assert smp.tail_bound <= DEFAULT_TOLERANCE * max(1.0, abs(smp.partial))
     assert smp.value == smp.partial + smp.tail_correction
 
 
@@ -103,7 +118,7 @@ def _riemann_zeta(x, m=1000):
 @pytest.mark.parametrize("s", [0.5, 0.1, 0.05])
 def test_su2_radial_samples_match_riemann_zeta(su2, s):
     # on SU(2), f(-s) of <xi>^-3 is sum_w w^2 w^-3 w^-s = zeta(1 + s)
-    smp = zeta_trace(weight_power_symbol(su2, 1.0, -3.0), s=s, tol=RADIAL_TOLERANCE)
+    smp = zeta_trace(weight_power_symbol(su2, 1.0, -3.0), s=s, tol=DEFAULT_TOLERANCE)
     exact = _riemann_zeta(1.0 + s)
     assert abs(smp.value - exact) <= max(smp.tail_bound, 1e-13 * exact)
 
@@ -117,19 +132,39 @@ def test_first_radial_sample_has_no_bound(t1):
     assert exc_info.value.best.tail_bound == math.inf
 
 
-def test_envelope_sample_is_sharp_sum_plus_envelope_model(su2):
+def _psi(t):
+    """The smooth step: 1 on [0, 1/2], 0 on [1, inf)."""
+    def h(x):
+        return np.where(x > 0.0, np.exp(-1.0 / np.where(x > 0.0, x, 1.0)), 0.0)
+
+    a, b = h(2.0 - 2.0 * t), h(2.0 * t - 1.0)
+    return a / (a + b)
+
+
+def _four_point_solve(sym, s, cuts):
+    """f(-s) from the psi-smoothed sums over (0, N] at four cutoffs N."""
+    sums = [
+        dualsum.annulus_sums(sym, [n], "signed", lambda w, n=n: (_psi(w / n) * w ** (-s))[None])[0, 0]
+        for n in cuts
+    ]
+    x = np.array(cuts) / cuts[-1]
+    basis = np.array([np.ones(4), x ** (-s), x ** (-s - 1.0), x ** (-s - 2.0)]).T
+    return complex(np.linalg.solve(basis, np.array(sums))[0]), complex(sums[-1])
+
+
+def test_non_scalar_sample_is_the_four_point_solve_of_its_smoothed_sums(su2):
     sym = diag_signed_symbol(su2, -3.0)
-    smp = zeta_trace(sym, s=0.8, tol=0.1)
-    acc = complex(0.0)
-    lo = 0.0
-    hi = DEFAULT_START_CUTOFF
-    while lo < smp.truncation_cutoff:
-        acc += complex(dualsum.annulus_sums(sym, [hi], "signed", 0.8, lo=lo)[0, 0])
-        lo, hi = hi, 2.0 * hi
-    model = su2.density_coeff * smp.truncation_cutoff**-0.8 / 0.8
-    assert smp.partial == acc
-    assert smp.tail_correction == model * acc / abs(acc)
-    assert smp.tail_bound == TAIL_SAFETY_FACTOR * model
+    s = 0.1
+    smp = zeta_trace(sym, s, tol=1e-3, min_cutoff=512.0)
+    assert smp.truncation_cutoff == 512.0
+    cuts = [DEFAULT_START_CUTOFF * 2.0**k for k in range(6)]  # 16 .. 512
+    value, smoothed = _four_point_solve(sym, s, cuts[2:])
+    previous, _ = _four_point_solve(sym, s, cuts[1:5])
+    assert abs(smp.partial - smoothed) <= 1e-13 * abs(smoothed)
+    assert abs(smp.value - value) <= 1e-12 * abs(value)
+    assert smp.tail_correction == smp.value - smp.partial
+    assert smp.tail_bound == pytest.approx(TAIL_SAFETY_FACTOR * abs(value - previous), rel=1e-3, abs=1e-13)
+    assert 0.0 < smp.tail_bound < 1e-6
 
 
 def test_monotone_tail(su2):
@@ -230,32 +265,56 @@ def test_canonical_bars_cover_errors(name, group, volume):
     assert abs(zr.value - analytic) <= zr.error_bar <= 1e-2 * abs(analytic)
 
 
+def _su2_diagonal(c=1.5 - 0.5j):
+    return diagonal_symbol(
+        SU2(), lambda xi: np.full(xi.dim, c * xi.weight**-3.0), DecayEnvelope(abs(c), -3.0)
+    )
+
+
 def test_structure_tag_does_not_change_the_zeta_residue(su2):
     c = 1.5 - 0.5j
     scalar = weight_power_symbol(su2, c, -3.0)
-    diagonal = diagonal_symbol(
-        su2, lambda xi: np.full(xi.dim, c * xi.weight**-3.0), DecayEnvelope(abs(c), -3.0)
-    )
-    for s in (0.8, 0.4):
-        a = zeta_trace(scalar, s, 0.1)
-        b = zeta_trace(diagonal, s, 0.1)
+    diagonal = _su2_diagonal(c)
+    for s in DEFAULT_S_SCHEDULE:
+        a = zeta_trace(scalar, s, DEFAULT_TOLERANCE)
+        b = zeta_trace(diagonal, s, DEFAULT_TOLERANCE)
         assert abs(a.value - b.value) <= a.tail_bound + b.tail_bound
     za = zeta_residue(scalar)
     zb = zeta_residue(diagonal)
+    assert [smp.s for smp in za.samples] == [smp.s for smp in zb.samples] == list(DEFAULT_S_SCHEDULE)
     assert abs(za.value - zb.value) <= za.error_bar + zb.error_bar
+    assert abs(zb.value - c) <= zb.error_bar <= 1e-3 * abs(c)
 
 
-def test_envelope_defaults_finish_within_their_bars():
-    # the alternating SU(2) diagonal has a convergent trace, so residue 0;
-    # with s down to 0.2 its default schedule once needed about 2^22 levels
-    zr = zeta_residue(diag_signed_symbol(SU2(), -3.0))
-    assert abs(zr.value) <= zr.error_bar
-    c = 1.5 - 0.5j
-    diagonal = diagonal_symbol(
-        Torus(1), lambda xi: np.full(1, c * xi.weight**-1.0), DecayEnvelope(abs(c), -1.0)
-    )
-    zr = zeta_residue(diagonal)
-    assert abs(zr.value - 2.0 * c) <= zr.error_bar
+def _pattern_diagonal():
+    """The su2-dense benchmark pattern in diagonal form: same spectra, Tr bounded per level."""
+    def diag(xi):
+        k = np.arange(xi.dim, dtype=np.float64)
+        return xi.weight**-3.0 * (np.cos(1.3 * k + 0.4) + 1j * np.sin(0.7 * k - 0.2))
+
+    return diagonal_symbol(SU2(), diag, DecayEnvelope(1.5, -3.0))
+
+
+NON_SCALAR_DEFAULT_CASES = [
+    # (name, symbol, residue): c <xi>^-n in diagonal form, and two convergent
+    # traces (residue 0) whose bars are absolute
+    ("T1 diagonal", lambda: scale_symbol(1.5 - 0.5j, diag_signed_symbol(Torus(1), -1.0)), 2.0 * (1.5 - 0.5j)),
+    ("T2 diagonal", lambda: scale_symbol(1.5 - 0.5j, diag_signed_symbol(Torus(2), -2.0)),
+     2.0 * math.pi * (1.5 - 0.5j)),
+    ("SU2 diagonal", _su2_diagonal, 1.5 - 0.5j),
+    ("SU2 diag_signed", lambda: diag_signed_symbol(SU2(), -3.0), 0.0),
+    ("su2-dense pattern", _pattern_diagonal, 0.0),
+]
+
+
+@pytest.mark.parametrize(
+    "make, residue", [c[1:] for c in NON_SCALAR_DEFAULT_CASES], ids=[c[0] for c in NON_SCALAR_DEFAULT_CASES]
+)
+def test_non_scalar_defaults_finish_within_their_bars(make, residue):
+    # the envelope tail model these replaced left bars of 0.3-0.5 of the value
+    zr = zeta_residue(make())
+    assert abs(zr.value - residue) <= zr.error_bar <= 1e-2 * max(1.0, abs(residue))
+    assert zr.flags == ()
 
 
 # ---------------------------------------------------------------------------
@@ -265,16 +324,17 @@ def test_envelope_defaults_finish_within_their_bars():
 def _dense_su2():
     return dense_symbol(
         SU2(),
-        lambda xi: (1.0 + 0.5j) * xi.weight**-3.0 * np.diag(np.linspace(-1.0, 1.0, xi.dim)),
+        lambda xi: (1.0 + 0.5j) * xi.weight**-3.0 * np.diag(np.linspace(0.0, 1.0, xi.dim)),
         DecayEnvelope(1.5, -3.0),
     )
 
 
 SHARED_LOOP_CASES = [
-    *[(name, lambda g=group: weight_power_symbol(g, 1.5 - 0.5j, -g.dim), RADIAL_S_SCHEDULE,
-       RADIAL_TOLERANCE) for name, group, _ in CANONICAL],
-    ("SU2 diagonal", lambda: diag_signed_symbol(SU2(), -3.0), (1.6, 1.2, 0.8), 0.1),
-    ("SU2 dense", _dense_su2, (1.6, 1.2, 0.8), 0.1),
+    *[(name, lambda g=group: weight_power_symbol(g, 1.5 - 0.5j, -g.dim), DEFAULT_S_SCHEDULE,
+       DEFAULT_TOLERANCE) for name, group, _ in CANONICAL],
+    ("SU2 diagonal", lambda: diag_signed_symbol(SU2(), -3.0), DEFAULT_S_SCHEDULE, DEFAULT_TOLERANCE),
+    # each level costs d^3, so a looser tol: the four-point solves stop at 512
+    ("SU2 dense", _dense_su2, DEFAULT_S_SCHEDULE, 1e-6),
 ]
 
 
@@ -301,14 +361,14 @@ def _budget_error(sym, s, tol, max_cutoff):
     "sym, s_schedule, max_cutoff",
     [
         # every s is short of its tolerance at 64
-        (weight_power_symbol(SU2(), 1.0, -3.0), RADIAL_S_SCHEDULE, 64.0),
-        # s = 1.6 and 0.8 stop below 256, s = 0.4 does not
-        (diag_signed_symbol(SU2(), -3.0), (1.6, 0.8, 0.4), 256.0),
+        (weight_power_symbol(SU2(), 1.0, -3.0), DEFAULT_S_SCHEDULE, 64.0),
+        # s = 0.2 stops at 1024, s = 0.1 and 0.05 do not
+        (_su2_diagonal(), DEFAULT_S_SCHEDULE, 1024.0),
     ],
-    ids=["radial", "envelope"],
+    ids=["radial", "diagonal"],
 )
 def test_shared_loop_raises_for_the_first_unstopped_s(sym, s_schedule, max_cutoff):
-    tol = RADIAL_TOLERANCE if sym.radial_fn is not None else 0.1
+    tol = DEFAULT_TOLERANCE
     alone = [_budget_error(sym, s, tol, max_cutoff) for s in s_schedule]
     first = next(exc for exc in alone if exc is not None)
     with pytest.raises(BudgetExceededError) as together:
@@ -333,5 +393,23 @@ def test_work_per_cutoff_does_not_grow_with_the_number_of_s(t3):
     assert all(smp.truncation_cutoff == 128.0 for smp in zr.samples)
     together = sum(evaluated)
     evaluated.clear()
-    assert zeta_trace(sym, RADIAL_S_SCHEDULE[-1], RADIAL_TOLERANCE).truncation_cutoff == 128.0
+    assert zeta_trace(sym, DEFAULT_S_SCHEDULE[-1], DEFAULT_TOLERANCE).truncation_cutoff == 128.0
     assert together == sum(evaluated)
+
+
+def test_diagonal_chunks_see_each_class_once_per_cutoff(su2):
+    # one pass per annulus gives both the sharp and the smoothed sums, so
+    # every level is evaluated once, in the annulus of its weight, for all s
+    labels = []
+
+    def diag(xi):
+        labels.append(xi.label)
+        return np.full(xi.dim, (1.5 - 0.5j) * xi.weight**-3.0)
+
+    sym = diagonal_symbol(su2, diag, DecayEnvelope(1.6, -3.0), check=False)
+    zr = zeta_residue(sym)
+    last = max(smp.truncation_cutoff for smp in zr.samples)
+    assert sorted(labels) == list(range(int(last)))
+    labels.clear()
+    assert zeta_trace(sym, DEFAULT_S_SCHEDULE[-1], DEFAULT_TOLERANCE).truncation_cutoff == last
+    assert sorted(labels) == list(range(int(last)))
