@@ -4,7 +4,10 @@ A group model provides the five ingredients the rest of the package needs:
 
 * enumeration of the unitary dual up to an elliptic-weight cutoff, in a
   fixed canonical order so that floating-point reductions are reproducible
-  (torus: lexicographic on the lattice label; SU(2): increasing level),
+  (torus: lexicographic on the lattice label; SU(2): increasing level); on
+  T^2 and T^3 only the runs of the last coordinate inside the annulus are
+  generated, so memory scales with the annulus (O(hi) runs plus one chunk),
+  not with the ball,
 * an upper bound for the spectral counting function ``sum_{<xi><=t} d^2``
   together with the leading coefficient of its derivative, used by
   truncation-tail models,
@@ -16,7 +19,12 @@ A group model provides the five ingredients the rest of the package needs:
   exact multiplicities ``sum d^2`` (torus: r_n(k), the number of ways to
   write the Laplace eigenvalue k as a sum of n squares; SU(2): d^2 per
   level), in increasing weight order.  A scalar symbol depends on the
-  weight alone, so its dual sums collapse to one term per shell.
+  weight alone, so its dual sums collapse to one term per shell.  r_2 is a
+  scatter of the pairs 0 < x1 < x2 (weight 8) plus the axis, diagonal and
+  origin terms; r_3 is the shift-add sum_m r_1(m^2) r_2(k - m^2) in int32
+  over a table of r_2 on [0, hi^2) (4 bytes a shell, 4 MB at hi = 1024).
+  Both are built one span of four shell blocks at a time (r_2: a 512 KB
+  count array per span).
 
 Supported groups are ``Torus(n)`` for n in {1, 2, 3} and ``SU2()``.  The
 elliptic weight of a dual class is ``(1 + eigenvalue)**0.5`` where
@@ -211,27 +219,38 @@ def _sign_count(x):
     return np.where(x > 0, 2, 1)
 
 
-def _r2_block(a: int, b: int) -> np.ndarray:
-    """r_2(k) for a <= k < b: lattice points of Z^2 with x1^2 + x2^2 = k.
+def _least_root(v):
+    """Least t >= 0 with t^2 >= v, elementwise for int64 v."""
+    return np.where(v > 0, _isqrt(np.maximum(v - 1, 0)) + 1, 0)
 
-    Scatters x1^2 + x2^2 over the pairs x1, x2 >= 0 that land in [a, b),
-    each weighted by its sign count; every count is an exact small integer.
+
+def _pair_scatter_r2(a: int, b: int) -> np.ndarray:
+    """r_2(k) for a <= k < b (int64): lattice points of Z^2 with x1^2 + x2^2 = k.
+
+    Only the pairs 0 < x1 < x2 are scattered, each standing for its 8 sign
+    and order images; the axis points (x, 0) and the diagonal (x, x), x > 0,
+    add 4 each at x^2 and 2x^2, and the origin 1 at k = 0.
     """
-    x1 = np.arange(math.isqrt(b - 1) + 1, dtype=np.int64)
-    low = a - x1 * x1
-    first = np.where(low > 0, _isqrt(np.maximum(low - 1, 0)) + 1, 0)  # least x2 with x2^2 >= low
-    count = _isqrt(b - 1 - x1 * x1) + 1 - first
-    x1 = np.repeat(x1, count)
-    x2 = np.arange(x1.size, dtype=np.int64) - np.repeat(np.cumsum(count) - count - first, count)
-    k = x1 * x1 + x2 * x2 - a
-    sign = (_sign_count(x1) * _sign_count(x2)).astype(np.float64)
-    return np.bincount(k, weights=sign, minlength=b - a).astype(np.int64)
+    x1 = np.arange(1, math.isqrt((b - 1) // 2) + 1, dtype=np.int64)
+    first = np.maximum(_least_root(a - x1 * x1), x1 + 1)
+    count = np.maximum(_isqrt(b - 1 - x1 * x1) + 1 - first, 0)
+    x2 = np.arange(int(count.sum()), dtype=np.int64) - np.repeat(np.cumsum(count) - count - first, count)
+    out = np.bincount(np.repeat(x1 * x1 - a, count) + x2 * x2, minlength=b - a)
+    out *= 8
+    for scale in (1, 2):  # the axis points at x^2, the diagonal at 2x^2
+        c = -(-a // scale)
+        x = np.arange(math.isqrt(c - 1) + 1 if c > 0 else 1, math.isqrt((b - 1) // scale) + 1, dtype=np.int64)
+        out[scale * x * x - a] += 4
+    if a == 0:
+        out[0] += 1
+    return out
 
 
-def _r3_block(r2: np.ndarray, a: int, b: int) -> np.ndarray:
+def _shift_add_r3(r2: np.ndarray, a: int, b: int) -> np.ndarray:
     """r_3(k) for a <= k < b as the shift-add sum_m r_1(m^2) r_2(k - m^2).
 
-    ``r2`` holds r_2 on [0, b) with the sign count 2 of m > 0 folded in.
+    ``r2`` holds r_2 on [0, b) with the sign count 2 of m > 0 folded in; the
+    counts keep its dtype (int32).
     """
     out = r2[a:b] // 2
     for m in range(1, math.isqrt(b - 1) + 1):
@@ -282,43 +301,51 @@ class Torus(GroupModel):
                 if mask.any():
                     yield self._make_chunk(k[mask], q[mask])
             return
-        buf_labels: list[np.ndarray] = []
-        buf_q: list[np.ndarray] = []
+        # The last coordinate runs over at most two intervals per label
+        # prefix: one table of prefixes x1 on T^2, one table (x1, x2) per x1
+        # on T^3.  Every class has d = 1, so a chunk is filled with the next
+        # _CHUNK_ENTRIES classes of the runs; memory is O(hi) plus one chunk.
+        kmin = _int_floor(qlo)  # q > qlo  <=>  |xi|^2 >= floor(qlo)
+        x1 = np.arange(-kmax, kmax + 1, dtype=np.int64)
+        if self.n == 2:
+            tables = [x1[:, None]]
+        else:
+            k2 = _isqrt(r2max - x1 * x1)
+            tables = (
+                np.column_stack((np.full(2 * k + 1, x), np.arange(-k, k + 1)))
+                for x, k in zip(x1.tolist(), k2.tolist())
+            )
         count = 0
-        for x1 in range(-kmax, kmax + 1):
-            r2 = r2max - x1 * x1
-            if r2 < 0:
-                continue
-            k2 = math.isqrt(r2)
-            side = np.arange(-k2, k2 + 1, dtype=np.int64)
-            if self.n == 2:
-                labels = np.empty((side.size, 2), dtype=np.int64)
-                labels[:, 0] = x1
-                labels[:, 1] = side
-                q = 1 + x1 * x1 + side * side
-            else:
-                g2, g3 = np.meshgrid(side, side, indexing="ij")
-                g2 = g2.ravel()
-                g3 = g3.ravel()
-                labels = np.empty((g2.size, 3), dtype=np.int64)
-                labels[:, 0] = x1
-                labels[:, 1] = g2
-                labels[:, 2] = g3
-                q = 1 + x1 * x1 + g2 * g2 + g3 * g3
-            mask = (q > qlo) & (q <= qhi)
-            if mask.any():
-                buf_labels.append(labels[mask])
-                buf_q.append(q[mask])
-                count += int(mask.sum())
-            if count >= _CHUNK_ENTRIES:
-                # every class has d = 1: cut full chunks, carry the rest over
-                labels, q = np.concatenate(buf_labels), np.concatenate(buf_q)
-                full = count - count % _CHUNK_ENTRIES
-                for a in range(0, full, _CHUNK_ENTRIES):
-                    yield self._make_chunk(labels[a : a + _CHUNK_ENTRIES], q[a : a + _CHUNK_ENTRIES])
-                buf_labels, buf_q, count = [labels[full:]], [q[full:]], count - full
+        for prefix in tables:
+            s = (prefix * prefix).sum(axis=1)
+            top = _isqrt(r2max - s)
+            low = _least_root(kmin - s)
+            inner = np.maximum(top + 1 - low, 0)
+            # [-top, -low] then [low, top]; [-top, top] once when low = 0
+            first = np.stack([-top, low], axis=1).ravel()
+            size = np.stack([np.where(low > 0, inner, 2 * top + 1), np.where(low > 0, inner, 0)], axis=1).ravel()
+            ends = np.cumsum(size)
+            shift = first - (ends - size)  # last coordinate = position + shift
+            total = int(ends[-1])
+            p = 0
+            while p < total:
+                if count == 0:
+                    labels = np.empty((_CHUNK_ENTRIES, self.n), dtype=np.int64)
+                    q = np.empty(_CHUNK_ENTRIES, dtype=np.int64)
+                take = min(_CHUNK_ENTRIES - count, total - p)
+                pos = np.arange(p, p + take, dtype=np.int64)
+                run = np.searchsorted(ends, pos, side="right")
+                t = pos + shift[run]
+                labels[count : count + take, :-1] = prefix[run // 2]
+                labels[count : count + take, -1] = t
+                q[count : count + take] = 1 + s[run // 2] + t * t
+                count += take
+                p += take
+                if count == _CHUNK_ENTRIES:
+                    yield self._make_chunk(labels, q)
+                    count = 0
         if count:
-            yield self._make_chunk(np.concatenate(buf_labels), np.concatenate(buf_q))
+            yield self._make_chunk(labels[:count], q[:count])
 
     def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
         # Laplace eigenvalues k with lo^2 < 1 + k <= hi^2, the exact integer
@@ -333,16 +360,26 @@ class Torus(GroupModel):
                 x = np.arange(start, min(start + _SHELL_BLOCK, xend), dtype=np.int64)
                 yield np.sqrt((1 + x * x).astype(np.float64)), _sign_count(x)
             return
+        # r_2 and r_3 are built a span of four blocks at a time (per-row and
+        # per-shift overheads once per span) and sliced into the blocks from kmin
+        span = 4 * _SHELL_BLOCK
         if self.n == 3 and kend > kmin:
-            # 2 * r_2 on [0, kend): hi^2 int64 counts, 8 MB at hi = 1024
-            r2 = 2 * np.concatenate(
-                [_r2_block(a, min(a + _SHELL_BLOCK, kend)) for a in range(0, kend, _SHELL_BLOCK)]
-            )
-        for start in range(kmin, kend, _SHELL_BLOCK):
-            stop = min(start + _SHELL_BLOCK, kend)
-            mult = _r2_block(start, stop) if self.n == 2 else _r3_block(r2, start, stop)
-            k = np.flatnonzero(mult)
-            yield np.sqrt((1 + start + k).astype(np.float64)), mult[k]
+            # 2 * r_2 on [0, kend) in int32, 4 bytes a shell (4 MB at hi = 1024).
+            # No count overflows: r_2(j) <= 4 d(j) <= 6400 for j < 2^31 (no
+            # integer below 2^31 has more than 1600 divisors), so r_3(k) <=
+            # (2 sqrt(k) + 1) * 6400 < 6e8 < 2^31 for every k a table of under
+            # 2^31 entries (8 GB) can hold; indices stay int64.
+            r2 = np.empty(kend, dtype=np.int32)
+            for a in range(0, kend, span):
+                r2[a : a + span] = _pair_scatter_r2(a, min(a + span, kend))
+            r2 *= 2
+        for a in range(kmin, kend, span):
+            b = min(a + span, kend)
+            mult = _pair_scatter_r2(a, b) if self.n == 2 else _shift_add_r3(r2, a, b)
+            for start in range(a, b, _SHELL_BLOCK):
+                block = mult[start - a : start - a + _SHELL_BLOCK]
+                k = np.flatnonzero(block != 0)
+                yield np.sqrt((1 + start + k).astype(np.float64)), block[k].astype(np.int64)
 
     def _make_chunk(self, labels: np.ndarray, q: np.ndarray) -> DualChunk:
         qf = q.astype(np.float64)

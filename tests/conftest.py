@@ -5,6 +5,8 @@ from hypothesis import settings
 from ncresidue import SU2, Torus
 
 settings.register_profile("suite", max_examples=40, deadline=None)
+# `pytest --hypothesis-profile=deep` overrides the suite profile below
+settings.register_profile("deep", max_examples=400, deadline=None)
 settings.load_profile("suite")
 
 

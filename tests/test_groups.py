@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -193,6 +194,50 @@ def test_torus_chunks_are_bounded_and_lexicographic(n, hi):
     assert len(labels) == int(np.count_nonzero((qq > 9) & (qq <= hi * hi)))
 
 
+def _brute_force_chunks(n, lo, hi, entries):
+    """The annulus filtered from the whole cube in lexicographic order, cut every `entries` classes."""
+    side = np.arange(-math.floor(hi), math.floor(hi) + 1)
+    cube = np.stack(np.meshgrid(*([side] * n), indexing="ij"), axis=-1).reshape(-1, n)
+    q = 1 + (cube * cube).sum(axis=1)
+    keep = (q > lo * lo) & (q <= hi * hi)
+    labels, q = cube[keep], q[keep].astype(np.float64)
+    return [(labels[a : a + entries], q[a : a + entries]) for a in range(0, len(labels), entries)]
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+    entries=st.one_of(st.integers(1, 200), st.just(groups._CHUNK_ENTRIES)),
+)
+def test_torus_chunks_match_brute_force_filter_of_the_cube(n, a, b, entries):
+    top = 120.0 if n == 2 else 24.0  # above 2^14 classes in the ball
+    lo, hi = sorted((a * top, b * top))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_CHUNK_ENTRIES", entries)
+        chunks = list(Torus(n).dual_chunks(lo, hi))
+    expected = _brute_force_chunks(n, lo, hi, entries)
+    assert len(chunks) == len(expected)
+    for chunk, (labels, q) in zip(chunks, expected):
+        assert chunk.labels.dtype == np.int64 and np.array_equal(chunk.labels, labels)
+        assert np.array_equal(chunk.weights, np.sqrt(q))
+        assert np.array_equal(chunk.eigenvalues, q - 1.0)
+        assert np.array_equal(chunk.dims, np.ones(len(q)))
+
+
+def test_torus3_chunk_memory_scales_with_the_annulus():
+    # the annulus (120, 128] holds 1.5M classes; its ball would need a
+    # 257^2-label row per x1
+    tracemalloc.start()
+    try:
+        classes = sum(len(c) for c in Torus(3).dual_chunks(120.0, 128.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert classes == 1546352
+    assert peak < 3 * 2**20
+
+
 # ---------------------------------------------------------------------------
 # radial shells against the enumeration oracle
 
@@ -308,6 +353,90 @@ def test_radial_shells_across_block_boundaries(name, monkeypatch):
         mult = np.concatenate([m for _, m in blocks])
         ref_w, ref_m = _oracle_shells(g, lo, hi)
         assert np.array_equal(weights, ref_w) and np.array_equal(mult, ref_m)
+
+
+# Independent r_2 and r_3 oracles: a scatter over the whole first quadrant
+# with sign counts, and the shift-add over it, in int64.
+
+
+def _oracle_r2(a, b):
+    """r_2(k) for a <= k < b from every pair x1, x2 >= 0 with its sign count."""
+    x1 = np.arange(math.isqrt(b - 1) + 1, dtype=np.int64)
+    first = np.array([math.isqrt(v - 1) + 1 if v > 0 else 0 for v in (a - x1 * x1).tolist()], dtype=np.int64)
+    last = np.array([math.isqrt(v) for v in (b - 1 - x1 * x1).tolist()], dtype=np.int64)
+    count = np.maximum(last + 1 - first, 0)
+    x2 = np.arange(count.sum(), dtype=np.int64) - np.repeat(np.cumsum(count) - count - first, count)
+    x1 = np.repeat(x1, count)
+    sign = np.where(x1 > 0, 2, 1) * np.where(x2 > 0, 2, 1)
+    return np.bincount(x1 * x1 + x2 * x2 - a, weights=sign, minlength=b - a).astype(np.int64)
+
+
+def _oracle_r3(a, b):
+    """r_3(k) for a <= k < b as sum over m of r_1(m^2) r_2(k - m^2)."""
+    r2 = _oracle_r2(0, b)
+    out = r2[a:b].copy()
+    for m in range(1, math.isqrt(b - 1) + 1):
+        start = max(a - m * m, 0)
+        out[start + m * m - a :] += 2 * r2[start : b - m * m]
+    return out
+
+
+def _shell_window(g, a, b):
+    """r_n(k) for a <= k < b read from the radial shells with eigenvalues in [a, b)."""
+    out = np.zeros(b - a, dtype=np.int64)
+    for weights, mult in g.radial_shells(math.sqrt(a + 0.5), math.sqrt(b + 0.5)):
+        assert weights.dtype == np.float64 and mult.dtype == np.int64
+        out[np.rint(weights * weights).astype(np.int64) - 1 - a] = mult
+    return out
+
+
+def test_r2_matches_the_quadrant_oracle_below_2_to_the_20():
+    a, b = 2**20 - 4096, 2**20
+    assert np.array_equal(_shell_window(Torus(2), a, b), _oracle_r2(a, b))
+
+
+def test_r3_matches_the_shift_add_oracle_around_2_to_the_16():
+    # five default blocks: the window crosses block and span seams
+    a, b = 2**16 - 5 * 2**13, 2**16 + 5 * 2**13
+    assert np.array_equal(_shell_window(Torus(3), a, b), _oracle_r3(a, b))
+
+
+def _check_shell_partition(n, block, lo, hi):
+    # block j must hold exactly the shells with kmin + j*B <= k < kmin + (j+1)*B
+    kmin, kend = math.floor(lo * lo), math.floor(hi * hi)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_SHELL_BLOCK", block)
+        blocks = list(Torus(n).radial_shells(lo, hi))
+    assert len(blocks) == max(-(-(kend - kmin) // block), 0)
+    oracle = (_oracle_r2 if n == 2 else _oracle_r3)(kmin, kend) if kend > kmin else np.zeros(0, dtype=np.int64)
+    for j, (weights, mult) in enumerate(blocks):
+        assert weights.dtype == np.float64 and mult.dtype == np.int64
+        k = np.rint(weights * weights).astype(np.int64) - 1
+        assert np.array_equal(weights, np.sqrt((1 + k).astype(np.float64)))
+        assert np.all((k >= kmin + j * block) & (k < kmin + (j + 1) * block))
+        window = oracle[j * block : (j + 1) * block]
+        assert np.array_equal(k - kmin, j * block + np.flatnonzero(window))
+        assert np.array_equal(mult, window[window != 0])
+
+
+@given(
+    n=st.sampled_from([2, 3]),
+    block=st.integers(1, 40),
+    a=st.floats(0.0, 1.0),
+    b=st.floats(0.0, 1.0),
+)
+def test_shell_blocks_partition_the_eigenvalues_from_kmin(n, block, a, b):
+    # small blocks put span and block seams everywhere
+    top = 40.0 if n == 2 else 25.0
+    lo, hi = sorted((a * top, b * top))
+    _check_shell_partition(n, block, lo, hi)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_shell_partition_with_small_blocks_spans_past_2_to_the_16(n):
+    # spans follow the block size: a window wider than a default span must
+    # still be cut every 999 eigenvalues from kmin
+    _check_shell_partition(n, 999, math.sqrt(1000.5), math.sqrt(1000.5 + 70000))
 
 
 @pytest.mark.parametrize("name", ["T1", "T2", "T3", "SU2"])
