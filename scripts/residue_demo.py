@@ -25,10 +25,13 @@ CONFIG = {
 
 def main():
     parser = argparse.ArgumentParser(description=__doc__)
-    parser.add_argument("--out", default=None, help="report path (default: temp dir)")
+    parser.add_argument(
+        "--out", default=None, help="report path; its directory is created if missing (default: temp dir)"
+    )
     args = parser.parse_args()
 
     workdir = Path(args.out).parent if args.out else Path(tempfile.mkdtemp())
+    workdir.mkdir(parents=True, exist_ok=True)
     cfg_path = workdir / "residue_demo_config.json"
     out_path = Path(args.out) if args.out else workdir / "residue_demo_report.json"
     cfg_path.write_text(json.dumps(CONFIG, indent=2))

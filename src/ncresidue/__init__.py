@@ -20,7 +20,6 @@ from .groups import (
     GroupModel,
     QuadratureRule,
     Torus,
-    counting_envelope,
     enumerate_dual,
     haar_quadrature,
     sphere_surface,

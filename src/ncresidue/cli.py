@@ -269,18 +269,22 @@ def _build_field(config: RunConfig, sym: MatrixSymbol) -> SymbolField:
 
 
 def _series_rows(series: weakl1.PartialSumSeries):
-    """Rows N, logN, S, ratio, slope (trailing-window running slope)."""
+    """Rows N, logN, S, ratio, slope.
+
+    The slope is ``weakl1.estimate_slope`` on the series through the row,
+    nan where the estimator refuses that prefix (too short, or a fit that
+    is not finite).
+    """
     cutoffs = series.cutoffs
     vals = np.real(series.values)
     logs = np.log(cutoffs)
     rows = []
     for j in range(len(cutoffs)):
         ratio = vals[j] / logs[j] if logs[j] > 0.0 else float("nan")
-        if j >= 1:
-            w = max(2, (j + 2) // 2)
-            first = j + 1 - w
-            slope = float(np.polyfit(logs[first : j + 1], vals[first : j + 1], 1)[0])
-        else:
+        prefix = weakl1.PartialSumSeries(cutoffs[: j + 1], series.values[: j + 1], series.mode)
+        try:
+            slope = weakl1.estimate_slope(prefix).value
+        except (InvalidArgumentError, NumericalFailureError):
             slope = float("nan")
         rows.append((float(cutoffs[j]), float(logs[j]), float(vals[j]), ratio, slope))
     return rows

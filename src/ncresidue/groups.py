@@ -1,16 +1,13 @@
-"""Compact-group models: unitary duals, counting bounds, Haar quadrature.
+"""Compact-group models: unitary duals, radial shells, Haar quadrature.
 
-A group model provides the five ingredients the rest of the package needs:
+A group model provides the four ingredients the rest of the package needs:
 
 * enumeration of the unitary dual up to an elliptic-weight cutoff, in a
   fixed canonical order so that floating-point reductions are reproducible
   (torus: lexicographic on the lattice label; SU(2): increasing level); on
-  T^2 and T^3 only the runs of the last coordinate inside the annulus are
+  the torus only the runs of the last coordinate inside the annulus are
   generated, so memory scales with the annulus (O(hi) runs plus one chunk),
   not with the ball,
-* an upper bound for the spectral counting function ``sum_{<xi><=t} d^2``
-  together with the leading coefficient of its derivative, used by
-  truncation-tail models,
 * the shell density d mu/dw, whose integral over an annulus is the
   continuum limit of ``sum d^2`` over its classes (used by integrated
   radial tails),
@@ -186,9 +183,6 @@ class GroupModel:
             out.extend(chunk.elements())
         return out
 
-    def counting_envelope(self, t: float) -> float:
-        raise NotImplementedError
-
     def haar_quadrature(self, resolution: int) -> QuadratureRule:
         raise NotImplementedError
 
@@ -275,9 +269,6 @@ class Torus(GroupModel):
         self.name = f"T{n}"
         self.density_coeff = sphere_surface(n)
 
-    def counting_envelope(self, t: float) -> float:
-        return UNIT_BALL_VOLUME[self.n] * (t + math.sqrt(self.n)) ** self.n
-
     def shell_density(self, w: np.ndarray) -> np.ndarray:
         # Lebesgue measure of {xi in R^n : sqrt(1 + |xi|^2) <= w}, differentiated:
         # n omega_n w (w^2 - 1)^(n/2 - 1), written so that no power of w above
@@ -292,22 +283,16 @@ class Torus(GroupModel):
         if r2max < 0:
             return
         kmax = math.isqrt(r2max)
-        if self.n == 1:
-            step = _CHUNK_ENTRIES
-            for start in range(-kmax, kmax + 1, step):
-                k = np.arange(start, min(start + step, kmax + 1), dtype=np.int64)
-                q = 1 + k * k
-                mask = (q > qlo) & (q <= qhi)
-                if mask.any():
-                    yield self._make_chunk(k[mask], q[mask])
-            return
         # The last coordinate runs over at most two intervals per label
-        # prefix: one table of prefixes x1 on T^2, one table (x1, x2) per x1
-        # on T^3.  Every class has d = 1, so a chunk is filled with the next
-        # _CHUNK_ENTRIES classes of the runs; memory is O(hi) plus one chunk.
+        # prefix: one empty prefix on T^1, one table of prefixes x1 on T^2,
+        # one table (x1, x2) per x1 on T^3.  Every class has d = 1, so a chunk
+        # is filled with the next _CHUNK_ENTRIES classes of the runs; memory
+        # is O(hi) plus one chunk.
         kmin = _int_floor(qlo)  # q > qlo  <=>  |xi|^2 >= floor(qlo)
         x1 = np.arange(-kmax, kmax + 1, dtype=np.int64)
-        if self.n == 2:
+        if self.n == 1:
+            tables = [np.zeros((1, 0), dtype=np.int64)]
+        elif self.n == 2:
             tables = [x1[:, None]]
         else:
             k2 = _isqrt(r2max - x1 * x1)
@@ -385,7 +370,7 @@ class Torus(GroupModel):
         qf = q.astype(np.float64)
         return DualChunk(
             group=self,
-            labels=labels,
+            labels=labels[:, 0] if self.n == 1 else labels,
             dims=np.ones(q.shape[0], dtype=np.float64),
             weights=np.sqrt(qf),
             eigenvalues=qf - 1.0,
@@ -406,8 +391,8 @@ class SU2(GroupModel):
     """SU(2).  One dual class per level ell >= 0, of dimension ell + 1.
 
     The Laplace eigenvalue at level ell is ell*(ell+2), hence the elliptic
-    weight is exactly ell + 1.  Counting: sum_{ell+1<=t} (ell+1)^2 <= t^3,
-    with leading density t^2 (coefficient one).
+    weight is exactly ell + 1.  The counting function sum_{ell+1<=t} (ell+1)^2
+    has leading density t^2 (coefficient one).
     """
 
     def __init__(self):
@@ -415,9 +400,6 @@ class SU2(GroupModel):
         self.dim = 3
         self.name = "SU2"
         self.density_coeff = 1.0
-
-    def counting_envelope(self, t: float) -> float:
-        return float(t) ** 3
 
     def shell_density(self, w: np.ndarray) -> np.ndarray:
         # d^2 = w^2 per unit step of the weight w = ell + 1
@@ -472,11 +454,6 @@ class SU2(GroupModel):
 def enumerate_dual(group: GroupModel, cutoff: float) -> list[DualElement]:
     """All dual classes with elliptic weight <= cutoff, in canonical order."""
     return group.dual_elements(cutoff)
-
-
-def counting_envelope(group: GroupModel, t: float) -> float:
-    """Upper bound for sum of d^2 over classes of weight <= t."""
-    return group.counting_envelope(t)
 
 
 def haar_quadrature(group: GroupModel, resolution: int) -> QuadratureRule:

@@ -14,7 +14,8 @@ parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  Eigenvalues with modulus at most
 1e-12 * ||H||_F count as zero when splitting, so spectral mass at the origin
 lands in neither signed part (but also not in |H|, keeping H+ + H- = |H|).
 The trace norm Tr|T| of a general square T is the sum of its singular
-values, with the same zero threshold.
+values, with the same zero threshold (``drop_small``), which also zeroes
+the small eigenvalues of Re T and Im T in ``part_eigenvalues``.
 
 Threaded BLAS kernels split large matrices differently for different thread
 counts, so eigenvalues of classes beyond d ~ 100 would depend on
@@ -163,16 +164,44 @@ def hermitian_eigenvalues(h, assume_hermitian: bool = False) -> np.ndarray:
     return _lapack(np.linalg.eigvalsh, a)
 
 
-def trace_norm(t) -> np.ndarray:
-    """Tr|T| of each matrix of a (..., d, d) stack: the sum of its singular values.
+def drop_small(vals: np.ndarray) -> np.ndarray:
+    """``vals`` with entries within ZERO_EIGENVALUE_FACTOR * ||row||_2 of zero set to zero.
 
-    Singular values at most ZERO_EIGENVALUE_FACTOR * ||T||_F count as zero,
-    as in ``split_eigenvalues``; for Hermitian T this is the sum of |eigenvalues|.
+    Per row of the last axis.  For the singular values of T, or the
+    eigenvalues of a Hermitian T, the row's 2-norm is ||T||_F.
     """
-    sv = _lapack(np.linalg.svd, _as_square(t), compute_uv=False)
-    # ||T||_F is the 2-norm of the singular values.
-    kept, _ = split_eigenvalues(sv, np.linalg.norm(sv, axis=-1, keepdims=True))
-    return np.sum(kept, axis=-1)
+    thr = ZERO_EIGENVALUE_FACTOR * np.linalg.norm(vals, axis=-1, keepdims=True)
+    return np.where(np.abs(vals) > thr, vals, 0.0)
+
+
+def singular_values(t) -> np.ndarray:
+    """Singular values of each matrix of a (..., d, d) stack, small ones zeroed (``drop_small``).
+
+    For d = 1 that is |t| as ``np.abs`` rounds it (LAPACK's may differ in
+    the last bit), so a one-dimensional class matches its diagonal exactly.
+    """
+    a = _as_square(t)
+    return drop_small(np.abs(a[..., 0]) if a.shape[-1] == 1 else _lapack(np.linalg.svd, a, compute_uv=False))
+
+
+def part_eigenvalues(t) -> np.ndarray:
+    """Eigenvalues of Re T and Im T as the rows of a (2, d) array, small ones zeroed.
+
+    One LAPACK call on the stacked pair, which is Hermitian by construction;
+    it also refuses a non-finite T.
+    """
+    a = np.asarray(t, dtype=np.complex128)
+    adj = _adjoint(a)
+    parts = np.stack((0.5 * (a + adj), -0.5j * (a - adj)))
+    return drop_small(hermitian_eigenvalues(parts, assume_hermitian=True))
+
+
+def trace_norm(t) -> np.ndarray:
+    """Tr|T| of each matrix of a (..., d, d) stack: the sum of its ``singular_values``.
+
+    For Hermitian T this is the sum of |eigenvalues|.
+    """
+    return np.sum(singular_values(t), axis=-1)
 
 
 def real_part(t) -> np.ndarray:

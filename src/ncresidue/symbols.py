@@ -11,15 +11,25 @@ Symbols are evaluators, not tables: the dual is unbounded, so values are
 computed on demand.  Evaluators must be pure, which keeps every reduction
 over the dual reproducible.
 
+Every symbol meets one spectral-diagonal contract,
+``MatrixSymbol.chunk_spectra(chunk, mode)``: one flat complex vector in
+chunk order, d entries per class, whose per-class sums a dual reduction
+needs for the mode.  A scalar or diagonal class gives its diagonal in
+every mode.  A dense class is evaluated as a matrix and gives its diagonal
+(``signed``), its singular values (``abs``), or the eigenvalues of Re sigma
+and Im sigma as the real and imaginary parts (``four``); spectral values
+within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  The envelope
+spot check reads the operator norm of a class as the largest modulus of
+its ``abs`` entries.
+
 Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
-``DualChunk`` to one flat complex vector, the diagonals of the chunk's
-classes concatenated in chunk order (length sum of d), so a dual sum
-evaluates them one chunk at a time.  ``diagonal_symbol`` keeps a per-class
-``diag(xi)`` signature and wraps it in a loop over the chunk's classes;
-``diag_signed_symbol``, ``scalar_symbol``, ``scale_symbol`` and
-``add_symbols`` build vectorised chunk evaluators.  ``MatrixSymbol.diagonal``
-evaluates the one-class chunk of a class, and ``evaluate`` is its diagonal
-matrix.
+``DualChunk`` to the diagonals of the chunk's classes concatenated in chunk
+order (length sum of d), so a dual sum evaluates them one chunk at a time.
+``diagonal_symbol`` keeps a per-class ``diag(xi)`` signature and wraps it in
+a loop over the chunk's classes; ``diag_signed_symbol``, ``scalar_symbol``,
+``scale_symbol`` and ``add_symbols`` build vectorised chunk evaluators.
+``MatrixSymbol.diagonal`` evaluates the one-class chunk of a class, and
+``evaluate`` is its diagonal matrix.
 
 An x-dependent homogeneous component is represented by a ``SymbolField``:
 one frozen symbol per Haar quadrature node.  ``Expansion`` stacks such
@@ -35,6 +45,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
+from . import matcalc
 from .errors import InvalidArgumentError
 from .groups import DualChunk, DualElement, GroupModel, QuadratureRule
 
@@ -97,6 +108,23 @@ class MatrixSymbol:
             )
         return vec
 
+    def chunk_spectra(self, chunk: DualChunk, mode: str) -> np.ndarray:
+        """The chunk's spectral diagonals for a reduction ``mode``, one flat complex vector.
+
+        In chunk order, d entries per class: the diagonal of a scalar or
+        diagonal class; for a dense class its diagonal (``signed``), its
+        singular values (``abs``), or the eigenvalues of Re sigma as real
+        parts and those of Im sigma as imaginary parts (``four``), solved
+        with numpy's OpenBLAS on one thread.
+        """
+        if mode not in ("abs", "signed", "four"):
+            raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
+        if self.diag_fn is not None:
+            return self.chunk_diagonals(chunk)
+        with matcalc.one_blas_thread():
+            parts = [_dense_spectrum(self.evaluate(el), mode) for el in chunk.elements()]
+        return np.concatenate(parts).astype(np.complex128, copy=False)
+
     def diagonal(self, xi: DualElement) -> np.ndarray:
         """Diagonal vector of one class, from its one-class chunk."""
         return self.chunk_diagonals(DualChunk.of(self.group, xi))
@@ -105,6 +133,15 @@ class MatrixSymbol:
         if self.radial_fn is None:
             raise InvalidArgumentError("symbol has no radial profile")
         return np.asarray(self.radial_fn(np.asarray(weights, dtype=np.float64)), dtype=np.complex128)
+
+
+def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
+    if mode == "signed":
+        return np.diagonal(mat)
+    if mode == "abs":
+        return matcalc.singular_values(mat)
+    re, im = matcalc.part_eigenvalues(mat)
+    return re + 1j * im
 
 
 def _spot_cutoff(group: GroupModel, max_classes: int) -> float:
@@ -118,21 +155,6 @@ def _spot_cutoff(group: GroupModel, max_classes: int) -> float:
         cutoff *= 2.0
 
 
-def _operator_norm_estimate(mat: np.ndarray) -> float:
-    # Deterministic power iteration on sigma* sigma; a slight underestimate,
-    # which never rejects a valid envelope.
-    d = mat.shape[0]
-    gram = mat.conj().T @ mat
-    v = np.ones(d) / np.sqrt(d)
-    for _ in range(50):
-        w = gram @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            return 0.0
-        v = w / norm
-    return float(np.sqrt(np.real(np.vdot(v, gram @ v))))
-
-
 def _check_envelope(sym: MatrixSymbol) -> None:
     limit = SPOT_CHECK_CLASSES if sym.structure != "dense" else _SPOT_CHECK_DENSE_CLASSES
     cap = 1024.0 if sym.structure != "dense" else 32.0
@@ -143,11 +165,9 @@ def _check_envelope(sym: MatrixSymbol) -> None:
         part = DualChunk(sym.group, chunk.labels[:k], chunk.dims[:k], chunk.weights[:k], chunk.eigenvalues[:k])
         if sym.structure == "scalar":
             norms = np.abs(sym.radial_profile(part.weights))
-        elif sym.structure == "diagonal":
+        else:  # the largest |diagonal entry| or singular value of each class
             dims = part.dims.astype(np.int64)
-            norms = np.maximum.reduceat(np.abs(sym.chunk_diagonals(part)), np.cumsum(dims) - dims)
-        else:
-            norms = np.array([_operator_norm_estimate(sym.evaluate(el)) for el in part.elements()])
+            norms = np.maximum.reduceat(np.abs(sym.chunk_spectra(part, "abs")), np.cumsum(dims) - dims)
         bounds = sym.envelope.bound(part.weights)
         bad = norms > bounds * (1.0 + 1e-9) + 1e-300
         if bad.any():

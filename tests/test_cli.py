@@ -1,11 +1,15 @@
 import json
 import math
 import re
+import runpy
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncresidue import cli
+from ncresidue import cli, weakl1
+from ncresidue.errors import InvalidArgumentError
 
 
 def _write_config(tmp_path, name, payload):
@@ -304,6 +308,33 @@ def test_sweep_value_and_bar_come_from_the_slope_estimator(tmp_path, monkeypatch
     assert 0.0 < report["error_bar"] < 1e-2
     assert abs(report["value"]["re"] - 1.0) <= report["error_bar"] + 0.01
     assert report["flags"] == []
+
+
+def test_every_sweep_slope_is_the_estimator_on_its_prefix(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    config = Path(__file__).resolve().parents[1] / "configs" / "su2_sweep.json"
+    assert cli.main(["sweep", "--config", str(config), "--out", "report.json"]) == 0
+    rows = [line.split(",") for line in (tmp_path / "su2_sweep.csv").read_text().strip().splitlines()[1:]]
+    cutoffs = np.array([float(r[0]) for r in rows])
+    values = np.array([float(r[2]) for r in rows])
+    for j, row in enumerate(rows):
+        prefix = weakl1.PartialSumSeries(cutoffs[: j + 1], values[: j + 1], "abs")
+        if j < 3:  # fewer than 4 entries: the estimator refuses the prefix
+            with pytest.raises(InvalidArgumentError):
+                weakl1.estimate_slope(prefix)
+            assert row[4] == "nan"
+        else:
+            assert float(row[4]) == weakl1.estimate_slope(prefix).value
+
+
+def test_residue_demo_creates_the_report_directory(tmp_path, monkeypatch):
+    demo = Path(__file__).resolve().parents[1] / "scripts" / "residue_demo.py"
+    out = tmp_path / "new" / "dir" / "report.json"
+    monkeypatch.setattr(sys, "argv", [str(demo), "--out", str(out)])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(demo), run_name="__main__")
+    assert stop.value.code == 0
+    assert json.loads(out.read_text())["flags"] == []
 
 
 @pytest.mark.parametrize("count", [1, 3])

@@ -208,6 +208,33 @@ def test_structure_tag_does_not_change_chunk_sums(group, mode, s):
         assert np.allclose(got, ref, rtol=1e-12, atol=1e-12 * np.max(np.abs(ref)))
 
 
+_TORI = {"T1": (Torus(1), [4.0, 64.0, 4096.0]), "T2": (Torus(2), [4.0, 16.0, 48.0])}
+
+
+def _lattice_diagonal(xi):
+    """A one-entry diagonal whose real and imaginary parts change sign over the lattice."""
+    k = float(np.sum(xi.label))
+    return np.array([complex(np.cos(1.3 * k + 0.4), np.sin(0.7 * k - 0.2))])
+
+
+@pytest.mark.parametrize("group", sorted(_TORI))
+@pytest.mark.parametrize("mode", ["abs", "signed", "four"])
+@pytest.mark.parametrize("s", [0.0, _ZETA_S], ids=["no-factors", "factor-rows"])
+def test_dense_torus_classes_sum_bitwise_as_their_diagonals(group, mode, s):
+    # every torus class has d = 1, so a dense symbol's spectra are its diagonal
+    grp, schedule = _TORI[group]
+    env = DecayEnvelope(1.5, -grp.dim)
+
+    def diag(xi):
+        return xi.weight**-grp.dim * _lattice_diagonal(xi)
+
+    dense = dense_symbol(grp, lambda xi: np.diag(diag(xi)), env)
+    ref = dualsum.annulus_sums(diagonal_symbol(grp, diag, env), schedule, mode, _powers(s))
+    got = dualsum.annulus_sums(dense, schedule, mode, _powers(s))
+    assert np.max(np.abs(ref)) > 0.0
+    assert got.tobytes() == ref.tobytes()
+
+
 @pytest.mark.parametrize("group", sorted(_CHUNK_GROUPS))
 def test_each_factor_row_is_summed_as_if_alone(group):
     # the zeta trace weights one pass by a row per s; no row's sum may

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from ncresidue import (
     SU2,
     Torus,
-    counting_envelope,
     enumerate_dual,
     haar_quadrature,
     su2_character,
@@ -460,12 +459,7 @@ def test_shell_density_is_the_derivative_of_the_continuum_count(name):
 
 
 # ---------------------------------------------------------------------------
-# counting envelopes
-
-
-def test_su2_envelope_example(su2):
-    assert counting_envelope(su2, 3.0) == 27.0
-    assert 27.0 >= 1 + 4 + 9
+# dual counts
 
 
 def test_torus2_envelope_vs_lattice_count(t2):
@@ -476,29 +470,23 @@ def test_torus2_envelope_vs_lattice_count(t2):
         if 1 + a * a + b * b <= 100
     )
     assert count == 305
-    # the circle |xi|^2 = 100 itself carries 12 points; the envelope must
-    # dominate the count with or without them
-    assert counting_envelope(t2, 10.0) >= 317
-    assert counting_envelope(t2, 10.0) >= count
     assert len(enumerate_dual(t2, 10.0)) == count
 
 
-def test_torus1_envelope_trivial(t1):
-    assert counting_envelope(t1, 1.0) >= 1.0
-
-
 @given(t=st.floats(1.0, 60.0))
-def test_envelope_dominates_exact_count_su2(t, su2):
-    exact = sum(e.dim**2 for e in enumerate_dual(su2, t))
-    assert counting_envelope(su2, t) >= exact
+def test_su2_dual_mass_has_closed_form(t, su2):
+    # levels ell <= m - 1 for m = floor(t): sum of (ell + 1)^2 = m(m+1)(2m+1)/6
+    m = math.floor(t)
+    assert sum(e.dim**2 for e in enumerate_dual(su2, t)) == m * (m + 1) * (2 * m + 1) // 6
 
 
 @given(t=st.floats(1.0, 25.0))
-def test_envelope_dominates_exact_count_torus(t):
+def test_torus_dual_count_matches_lattice_count(t):
     for n in (1, 2):
-        g = Torus(n)
-        exact = len(enumerate_dual(g, t))
-        assert counting_envelope(g, t) >= exact
+        r = math.isqrt(math.floor(t * t))
+        box = np.stack(np.meshgrid(*[np.arange(-r, r + 1)] * n), axis=-1).reshape(-1, n)
+        exact = int(np.count_nonzero(1 + (box * box).sum(axis=1) <= t * t))
+        assert len(enumerate_dual(Torus(n), t)) == exact
 
 
 # ---------------------------------------------------------------------------

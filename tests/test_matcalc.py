@@ -235,6 +235,24 @@ def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum(seed, d):
     assert abs(matcalc.trace_norm(h) - expect) <= 1e-12 * (1.0 + expect)
 
 
+def test_one_by_one_singular_value_is_np_abs_exactly():
+    vals = np.random.default_rng(4).standard_normal((500, 2)) @ np.array([1.0, 1j])
+    assert matcalc.singular_values(vals[:, None, None]).tobytes() == np.abs(vals)[:, None].tobytes()
+    assert matcalc.singular_values(np.zeros((1, 1))).tolist() == [0.0]
+
+
+def test_part_eigenvalues_are_the_spectra_of_re_and_im():
+    rng = np.random.default_rng(9)
+    t = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    t[:, 0] = 0.0  # one zero eigenvalue of each part, up to rounding, is zeroed
+    t[0, :] = 0.0
+    got = matcalc.part_eigenvalues(t)
+    for row, part in zip(got, (matcalc.real_part(t), matcalc.imag_part(t))):
+        ref = np.linalg.eigvalsh(part)
+        assert np.allclose(row, ref, rtol=0.0, atol=1e-12 * np.linalg.norm(ref))
+    assert np.count_nonzero(got == 0.0) == 2
+
+
 def test_unitary_invariance_of_spectrum():
     rng = np.random.default_rng(11)
     h = random_hermitian(rng, 5)

@@ -150,6 +150,42 @@ def test_envelope_violation_detected_diagonal(su2):
         )
 
 
+def test_envelope_violation_detected_dense_off_the_ones_vector(su2):
+    # at level 1 only, sigma = w^-3 (5.25 I - 4.75 J), J the swap, has norm
+    # 10 w^-3 along (1, -1), orthogonal to the all-ones vector, and 0.5 w^-3
+    # along (1, 1); every other level is 0.5 w^-3 I.  The entries are exact
+    # in binary, so no rounding leaks into the (1, -1) direction.
+    def evaluator(xi):
+        if xi.label == 1:
+            return xi.weight**-3.0 * np.array([[5.25, -4.75], [-4.75, 5.25]], dtype=complex)
+        return xi.weight**-3.0 * 0.5 * np.eye(xi.dim, dtype=complex)
+
+    with pytest.raises(InvalidArgumentError, match=r"at 1 \(weight 2\): \|sigma\| = 1\.25 > 0\.125"):
+        dense_symbol(su2, evaluator, DecayEnvelope(1.0, -3.0))
+    dense_symbol(su2, evaluator, DecayEnvelope(10.0, -3.0))
+
+
+def test_chunk_spectra_of_dense_and_diagonal_classes(su2):
+    rng = np.random.default_rng(3)
+    mats = {d: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in range(1, 9)}
+    dense = dense_symbol(su2, lambda xi: mats[xi.dim], DecayEnvelope(1.0, 0.0), check=False)
+    diag = diagonal_symbol(su2, lambda xi: np.diag(mats[xi.dim]), DecayEnvelope(1.0, 0.0), check=False)
+    (chunk,) = su2.dual_chunks(0.0, 8.0)
+    diagonals = np.concatenate([np.diag(mats[d]) for d in range(1, 9)])
+    spectra = {}
+    for mode in ("abs", "signed", "four"):
+        assert np.array_equal(diag.chunk_spectra(chunk, mode), diagonals)
+        spectra[mode] = np.split(dense.chunk_spectra(chunk, mode), np.cumsum(range(1, 8)))
+    for d in range(1, 9):
+        m = mats[d]
+        assert np.array_equal(spectra["signed"][d - 1], np.diag(m))
+        assert np.allclose(spectra["abs"][d - 1], np.linalg.svd(m, compute_uv=False), rtol=1e-13, atol=0.0)
+        re, im = (np.linalg.eigvalsh(h) for h in (0.5 * (m + m.conj().T), -0.5j * (m - m.conj().T)))
+        assert np.allclose(spectra["four"][d - 1], re + 1j * im, rtol=1e-13, atol=1e-13)
+    with pytest.raises(InvalidArgumentError, match="unknown reduction mode"):
+        dense.chunk_spectra(chunk, "zeta")
+
+
 def test_honest_envelope_accepted(t1):
     scalar_symbol(t1, lambda w: 0.5 * w**-1.0, DecayEnvelope(0.5, -1.0))
 
