@@ -301,17 +301,12 @@ def write_series_csv(path: str, series: weakl1.PartialSumSeries) -> None:
 def _run_weakl1(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
     series = weakl1.sum_series(sym, config.schedule, mode=config.mode)
-    if config.mode == "abs":
-        est = weakl1.estimate_slope(series)
-        value = complex(est.value)
-        error = est.error_bar
-        flags = list(est.flags)
-    else:
-        re_est = weakl1.estimate_slope(series.real_series())
-        im_est = weakl1.estimate_slope(series.imag_series())
-        value = complex(re_est.value, im_est.value)
-        error = re_est.error_bar + im_est.error_bar
-        flags = list(dict.fromkeys(re_est.flags + im_est.flags))
+    # "abs" fits S; "signed" fits Re S and Im S in one call
+    parts = [series.values.real] if config.mode == "abs" else [series.values.real, series.values.imag]
+    estimates = weakl1._estimate_slopes(series.cutoffs, np.stack(parts))
+    value = complex(*(e.value for e in estimates))
+    error = sum(e.error_bar for e in estimates)
+    flags = list(dict.fromkeys(f for e in estimates for f in e.flags))
     return value, error, flags, {}, series
 
 

@@ -42,7 +42,8 @@ bit-reproducible.  A chunk holds at most ``groups._CHUNK_ENTRIES`` entries
 numpy's bundled OpenBLAS on one thread (``matcalc.one_blas_thread``), so
 they are also independent of OPENBLAS_NUM_THREADS; with another BLAS build
 large dense classes may depend on its thread count.  A block whose channel
-sum is not finite raises NumericalFailureError.
+sum is not finite raises NumericalFailureError; a dense class with a
+non-finite entry has NaN ``abs`` and ``four`` spectra, so it fails so.
 """
 
 from __future__ import annotations

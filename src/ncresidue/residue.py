@@ -18,11 +18,17 @@ For such fields (``SymbolField.scaled``) the base symbol is summed over
 the dual once and each node's series is its scaled copy; scaling after
 the compensated sum rather than before changes only low-order bits.
 
+Every distinct (symbol, factor) pair of a field contributes four rows, and
+all of them are fitted in one ``weakl1._estimate_slopes`` call (two
+closed-form ``_fit`` passes, however many nodes); a row's estimate is the
+one it would get alone.  A non-finite scaled series, slope fit or signed
+combination of four norms raises NumericalFailureError.
+
 For invariant fields the x-integral is skipped (the quadrature weights sum
 to one), which keeps the result exact rather than multiplied by a rounded
-weight sum.  Nodes whose slope fits do not converge are flagged instead of
-aborting the whole integral; a report carrying any flagged node is marked
-unreliable.
+weight sum.  Nodes whose slope fits look non-classical are flagged instead
+of aborting the whole integral; a report carrying any flagged node is
+marked unreliable.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ import numpy as np
 from . import dualsum, weakl1, zeta
 from .errors import InvalidArgumentError, NumericalFailureError
 from .symbols import Expansion, MatrixSymbol, SymbolField, extract_residue_component
-from .weakl1 import SlopeEstimate, estimate_slope
+from .weakl1 import SlopeEstimate
 
 NON_CLASSICAL_ORDER_FLAG = "non-classical order"
 UNRELIABLE_FLAG = "unreliable"
@@ -105,21 +111,22 @@ def four_part_series(sym: MatrixSymbol, schedule):
     return dualsum.cumulative_sums(annuli)
 
 
-def _four_norms(series: np.ndarray, schedule) -> FourNorms:
-    if not np.all(np.isfinite(series)):
+_SIGN_SWAP = [1, 0, 3, 2]  # (R+, R-, I+, I-) of -sigma
+
+
+def _four_norms(series: list, schedule) -> list:
+    """Four-norm estimates of (J, 4) part series, all fitted in one ``_estimate_slopes`` call."""
+    rows = np.concatenate([s.T for s in series])
+    if not np.all(np.isfinite(rows)):
         raise NumericalFailureError("non-finite four-part partial sums")
-    cutoffs = np.asarray(schedule, dtype=np.float64)
+    weakl1._check_nondecreasing(rows)
     try:
-        norms = FourNorms(
-            *(
-                estimate_slope(weakl1.PartialSumSeries(cutoffs, series[:, c].copy(), "abs"))
-                for c in range(4)
-            )
-        )
+        estimates = weakl1._estimate_slopes(schedule, rows)
     except NumericalFailureError as exc:
         raise NumericalFailureError(f"non-finite four-norm slope fit ({exc})") from exc
+    norms = [FourNorms(*estimates[i : i + 4]) for i in range(0, len(estimates), 4)]
     # each fit is finite, but their signed combination can still overflow
-    if not (np.isfinite(norms.value) and np.isfinite(norms.error_bar)):
+    if not all(np.isfinite(f.value) and np.isfinite(f.error_bar) for f in norms):
         raise NumericalFailureError("non-finite four-norm slope fit")
     return norms
 
@@ -131,7 +138,7 @@ def frozen_residue(sym: MatrixSymbol, schedule) -> FourNorms:
         raise InvalidArgumentError(
             f"frozen residue needs order {-n}, envelope declares {sym.envelope.order}"
         )
-    return _four_norms(four_part_series(sym, schedule), schedule)
+    return _four_norms([four_part_series(sym, schedule)], schedule)[0]
 
 
 def wodzicki_residue(field: SymbolField, schedule) -> ResidueReport:
@@ -148,20 +155,18 @@ def wodzicki_residue(field: SymbolField, schedule) -> ResidueReport:
         base, factors = field.scaled
         resolved = [(base, float(a)) for a in factors]
     series_of: dict[int, np.ndarray] = {}
-    norms_of: dict[tuple, FourNorms] = {}
-    node_results = []
-    for node, w, (sym, a) in zip(quad.nodes, quad.weights, resolved):
-        key = (id(sym), a)
-        norms = norms_of.get(key)
-        if norms is None:
-            series = series_of.get(id(sym))
-            if series is None:
-                series = series_of[id(sym)] = four_part_series(sym, schedule)
-            if a != 1.0:
-                # columns (R+, R-, I+, I-); a negative factor swaps the signs
-                series = abs(a) * (series[:, [1, 0, 3, 2]] if a < 0.0 else series)
-            norms = norms_of[key] = _four_norms(series, schedule)
-        node_results.append(NodeResult(node=node, weight=float(w), norms=norms))
+    for sym, _ in resolved:
+        if id(sym) not in series_of:
+            series_of[id(sym)] = four_part_series(sym, schedule)
+    # one (symbol, factor) column of the fit per distinct pair, in node order;
+    # a negative factor swaps the signs of the parts
+    keys = list(dict.fromkeys((id(sym), a) for sym, a in resolved))
+    columns = [abs(a) * series_of[i][:, _SIGN_SWAP if a < 0.0 else slice(None)] for i, a in keys]
+    norms_of = dict(zip(keys, _four_norms(columns, schedule)))
+    node_results = [
+        NodeResult(node=node, weight=float(w), norms=norms_of[id(sym), a])
+        for node, w, (sym, a) in zip(quad.nodes, quad.weights, resolved)
+    ]
     if field.invariant:
         # weights sum to one; reuse the single frozen value exactly
         residue = node_results[0].norms.value

@@ -18,9 +18,13 @@ needs for the mode.  A scalar or diagonal class gives its diagonal in
 every mode.  A dense class is evaluated as a matrix and gives its diagonal
 (``signed``), its singular values (``abs``), or the eigenvalues of Re sigma
 and Im sigma as the real and imaginary parts (``four``); spectral values
-within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  The envelope
-spot check reads the operator norm of a class as the largest modulus of
-its ``abs`` entries.
+within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  A dense class
+with a non-finite entry gives NaN entries in ``abs`` and ``four``, so a
+dual sum over it raises NumericalFailureError there, as in ``signed`` when
+the entry is on the diagonal (the trace ignores the others).  The envelope spot check reads the operator norm of a class
+as the largest modulus of its ``abs`` entries, and refuses a norm that is
+not within the envelope, NaN included, with InvalidArgumentError naming
+the class.
 
 Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
 ``DualChunk`` to the diagonals of the chunk's classes concatenated in chunk
@@ -138,9 +142,14 @@ class MatrixSymbol:
 def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
     if mode == "signed":
         return np.diagonal(mat)
+    # the one finiteness test of the class: a non-finite class gives NaN
+    # entries, refused by a dual sum as a non-finite sum and by the envelope
+    # spot check as a violation at the class
+    if not np.isfinite(mat).all():
+        return np.full(len(mat), np.nan, dtype=np.complex128)
     if mode == "abs":
-        return matcalc.singular_values(mat)
-    re, im = matcalc.part_eigenvalues(mat)
+        return matcalc.singular_values(mat, assume_finite=True)
+    re, im = matcalc.part_eigenvalues(mat, assume_finite=True)
     return re + 1j * im
 
 
@@ -169,7 +178,7 @@ def _check_envelope(sym: MatrixSymbol) -> None:
             dims = part.dims.astype(np.int64)
             norms = np.maximum.reduceat(np.abs(sym.chunk_spectra(part, "abs")), np.cumsum(dims) - dims)
         bounds = sym.envelope.bound(part.weights)
-        bad = norms > bounds * (1.0 + 1e-9) + 1e-300
+        bad = ~(norms <= bounds * (1.0 + 1e-9) + 1e-300)  # NaN norms are refused too
         if bad.any():
             i = int(np.argmax(bad))
             raise InvalidArgumentError(

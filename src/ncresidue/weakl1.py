@@ -7,6 +7,16 @@ it), so the estimator fits S against log N over a trailing window and
 reports the slope: for S(N) = c log N + b + o(1) the slope converges to c
 orders of magnitude faster than the ratio.
 
+The fit is closed-form least squares on centred log N, with no rescaling
+of the values: for x = log N minus its mean over the window, the slope is
+sum(x * (S - mean S)) / sum(x^2), and a series too close to float max
+fails as a non-finite fit.  ``_estimate_slopes`` fits many series sharing
+one schedule at once, laid out as the C-contiguous rows of an (m, J)
+array; every mean, dot product and maximum runs along a row, so a row's
+estimate is bit-identical whether it is fitted alone or beside others.
+``estimate_slope`` is its one-row case, and the residue assembly fits
+every part of every node of a field in one call.
+
 Partial sums follow the canonical dual order with compensated summation
 (see ``dualsum``), so series are bit-reproducible.  Error bars are fit
 stability heuristics, not rigorous bounds.
@@ -32,6 +42,14 @@ def geometric_schedule(start: float = 16.0, factor: float = 2.0, count: int = 11
     return [start * factor**k for k in range(count)]
 
 
+def _check_nondecreasing(values) -> None:
+    """Refuse absolute-trace series, rows along the last axis, that decrease beyond rounding."""
+    diffs = np.diff(np.real(values), prepend=0.0, axis=-1)
+    scale = np.max(np.abs(values), axis=-1, keepdims=True, initial=0.0)
+    if np.any(diffs < -1e-12 * (1.0 + scale)):
+        raise InvalidArgumentError("absolute-trace series must be non-decreasing")
+
+
 @dataclass(frozen=True, eq=False)
 class PartialSumSeries:
     """Cutoffs and cumulative sums S(N); mode is "abs" or "signed"."""
@@ -42,19 +60,13 @@ class PartialSumSeries:
 
     def __post_init__(self):
         if self.mode == "abs":
-            diffs = np.diff(np.real(self.values), prepend=0.0)
-            scale = float(np.max(np.abs(self.values))) if len(self.values) else 0.0
-            if np.any(diffs < -1e-12 * (1.0 + scale)):
-                raise InvalidArgumentError("absolute-trace series must be non-decreasing")
+            _check_nondecreasing(self.values)
 
     def __len__(self):
         return self.cutoffs.shape[0]
 
     def real_series(self) -> "PartialSumSeries":
         return PartialSumSeries(self.cutoffs, np.real(self.values).copy(), self.mode)
-
-    def imag_series(self) -> "PartialSumSeries":
-        return PartialSumSeries(self.cutoffs, np.imag(self.values).copy(), self.mode)
 
 
 @dataclass(frozen=True)
@@ -92,10 +104,49 @@ def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs") -> PartialSumSeri
     return PartialSumSeries(np.asarray(schedule, dtype=np.float64), values, mode)
 
 
-def _fit(logs: np.ndarray, vals: np.ndarray):
-    slope, intercept = np.polyfit(logs, vals, 1)
-    resid = float(np.max(np.abs(vals - (slope * logs + intercept))))
-    return float(slope), resid
+def _fit(logs: np.ndarray, rows: np.ndarray):
+    """Least-squares lines through each row against ``logs``: (slopes, max |residual|).
+
+    ``rows`` is C-contiguous, one series per row.
+    """
+    x = logs - logs.sum() / len(logs)
+    dev = rows - (rows.sum(-1) / rows.shape[-1])[:, None]
+    slopes = (dev * x).sum(-1) / (x * x).sum()
+    return slopes, np.abs(dev - slopes[:, None] * x).max(-1)
+
+
+def _estimate_slopes(cutoffs, rows) -> list:
+    """``estimate_slope`` of every row of ``rows`` against one cutoff schedule.
+
+    ``rows`` is real, shape (m, J); all rows are fitted by two ``_fit``
+    calls (the window and its shift).  The first row whose slope or error
+    bar is not finite raises NumericalFailureError.
+    """
+    rows = np.asarray(rows, dtype=np.float64)
+    logs = np.log(np.asarray(cutoffs, dtype=np.float64))
+    k = rows.shape[-1]
+    if k < 4:
+        raise InvalidArgumentError("slope estimation needs at least 4 series entries")
+    if logs[-1] - logs[0] < 2.0 * np.log(2.0) - 1e-9:
+        raise InvalidArgumentError("series must span at least two octaves of N")
+    window = max(4, (k + 1) // 2)
+    first = k - window
+    span = logs[-1] - logs[first]
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
+        slopes, resid = _fit(logs[first:], np.ascontiguousarray(rows[:, first:]))
+        bars = 2.0 * resid / span
+        if first >= 1:
+            shifted, _ = _fit(logs[first - 1 : k - 1], np.ascontiguousarray(rows[:, first - 1 : k - 1]))
+            bars = np.maximum(np.abs(slopes - shifted), bars)
+    finite = np.isfinite(slopes) & np.isfinite(bars)
+    if not finite.all():
+        i = int(np.argmin(finite))
+        raise NumericalFailureError(f"non-finite slope fit: slope {slopes[i]:g}, error bar {bars[i]:g}")
+    flagged = resid > 0.1 * np.abs(slopes) * span
+    return [
+        SlopeEstimate(slope, bar, (first, k - 1), res, (NON_CLASSICAL_FLAG,) if flag else ())
+        for slope, bar, res, flag in zip(slopes.tolist(), bars.tolist(), resid.tolist(), flagged.tolist())
+    ]
 
 
 def estimate_slope(series: PartialSumSeries) -> SlopeEstimate:
@@ -108,33 +159,8 @@ def estimate_slope(series: PartialSumSeries) -> SlopeEstimate:
     the series is too short to shift, only the residual term is used.
     Residuals above 10% of |slope| * log-span flag non-classical behavior
     (the symbol is not of critical order).  A non-finite slope or error bar
-    (the fit overflowed) raises NumericalFailureError.
+    (the fit overflowed) raises NumericalFailureError.  The real part of
+    the values is fitted.
     """
     vals = np.real(np.asarray(series.values, dtype=np.complex128))
-    cutoffs = np.asarray(series.cutoffs, dtype=np.float64)
-    k = len(vals)
-    if k < 4:
-        raise InvalidArgumentError("slope estimation needs at least 4 series entries")
-    logs = np.log(cutoffs)
-    if logs[-1] - logs[0] < 2.0 * np.log(2.0) - 1e-9:
-        raise InvalidArgumentError("series must span at least two octaves of N")
-    window = max(4, (k + 1) // 2)
-    first = k - window
-    slope, resid = _fit(logs[first:], vals[first:])
-    span = logs[-1] - logs[first]
-    bar = 2.0 * resid / span
-    if first >= 1:
-        shifted, _ = _fit(logs[first - 1 : k - 1], vals[first - 1 : k - 1])
-        bar = max(abs(slope - shifted), bar)
-    if not (np.isfinite(slope) and np.isfinite(bar)):
-        raise NumericalFailureError(f"non-finite slope fit: slope {slope:g}, error bar {bar:g}")
-    flags = ()
-    if resid > 0.1 * abs(slope) * span:
-        flags = (NON_CLASSICAL_FLAG,)
-    return SlopeEstimate(
-        value=slope,
-        error_bar=bar,
-        window=(first, k - 1),
-        fit_residual=resid,
-        flags=flags,
-    )
+    return _estimate_slopes(series.cutoffs, vals[None])[0]

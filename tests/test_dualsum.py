@@ -304,17 +304,23 @@ def test_non_finite_dense_trace_raises():
         dualsum.annulus_sums(sym, [4.0], "signed")
 
 
-def test_non_finite_dense_four_parts_raise():
-    # Re sigma and Im sigma are not re-validated as Hermitian, but a
-    # non-finite sigma is still refused before the eigensolver
+def test_non_finite_dense_four_parts_raise(monkeypatch):
+    # a non-finite sigma never reaches the eigensolver or the SVD, and its
+    # sum fails as a non-finite sum, as in "signed"
     def evaluator(xi):
         mat = np.eye(xi.dim, dtype=complex)
         mat[0, -1] = np.nan
         return mat
 
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("a non-finite class reached LAPACK")
+
     sym = dense_symbol(SU2(), evaluator, DecayEnvelope(1.0, -3.0), check=False)
-    with pytest.raises(InvalidArgumentError, match="matrix entries must be finite"):
-        dualsum.annulus_sums(sym, [4.0], "four")
+    monkeypatch.setattr(np.linalg, "eigvalsh", no_lapack)
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    for mode in ("abs", "four"):
+        with pytest.raises(NumericalFailureError, match=f"non-finite {mode} sum"):
+            dualsum.annulus_sums(sym, [4.0], mode)
 
 
 def test_overflowing_torus3_shell_sum_raises():

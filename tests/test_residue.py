@@ -22,6 +22,7 @@ from ncresidue import (
     weight_power_symbol,
     wodzicki_residue,
 )
+from ncresidue import weakl1
 from ncresidue.errors import InvalidArgumentError, NumericalFailureError
 from ncresidue.groups import su2_class_cosine
 from ncresidue.residue import NON_CLASSICAL_ORDER_FLAG, UNRELIABLE_FLAG, four_part_series
@@ -342,6 +343,24 @@ def test_real_modulation_sums_the_dual_once(su2):
     calls[0] = 0
     wodzicki_residue(field, schedule)
     assert calls[0] == one_pass
+
+
+def test_modulated_field_fits_every_node_in_one_pass(monkeypatch, su2):
+    fits = []
+    fit = weakl1._fit
+    monkeypatch.setattr(weakl1, "_fit", lambda logs, rows: fits.append(len(rows)) or fit(logs, rows))
+    def a(g):  # a class polynomial, as the CLI's class_poly modulation
+        t = su2_class_cosine(g)
+        return 2.0 + 0.3 * t - 0.4 * t**2
+
+    quad = su2.haar_quadrature(4)
+    field = modulated_field(a, diag_signed_symbol(su2, -3.0), quad, -3.0)
+    assert len(field.node_symbols) == 64
+    distinct = len({a(node) for node in quad.nodes})
+    report = wodzicki_residue(field, geometric_schedule(16.0, 2.0, 8))
+    # the window and its shift, four rows per distinct factor
+    assert fits == [4 * distinct, 4 * distinct]
+    assert len(report.per_node) == 64
 
 
 @pytest.mark.parametrize(

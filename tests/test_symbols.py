@@ -165,6 +165,18 @@ def test_envelope_violation_detected_dense_off_the_ones_vector(su2):
     dense_symbol(su2, evaluator, DecayEnvelope(10.0, -3.0))
 
 
+def test_envelope_spot_check_refuses_nan(su2):
+    # NaN compares false with any bound, so it is refused for not being within it
+    nan_class = r"decay envelope violated at 0 \(weight 1\): \|sigma\| = nan"
+    envelope = DecayEnvelope(1.0, -3.0)
+    with pytest.raises(InvalidArgumentError, match=nan_class):
+        scalar_symbol(su2, lambda w: np.full(w.shape, np.nan), envelope)
+    with pytest.raises(InvalidArgumentError, match=nan_class):
+        diagonal_symbol(su2, lambda xi: np.full(xi.dim, np.nan, dtype=complex), envelope)
+    with pytest.raises(InvalidArgumentError, match=nan_class):
+        dense_symbol(su2, lambda xi: np.full((xi.dim, xi.dim), np.nan, dtype=complex), envelope)
+
+
 def test_chunk_spectra_of_dense_and_diagonal_classes(su2):
     rng = np.random.default_rng(3)
     mats = {d: rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)) for d in range(1, 9)}

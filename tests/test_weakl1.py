@@ -7,7 +7,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncresidue import (
+    SU2,
     DecayEnvelope,
+    Torus,
     diagonal_symbol,
     estimate_slope,
     geometric_schedule,
@@ -16,6 +18,7 @@ from ncresidue import (
     sum_series,
     weight_power_symbol,
 )
+from ncresidue import weakl1
 from ncresidue.errors import InvalidArgumentError, NumericalFailureError
 from ncresidue.weakl1 import NON_CLASSICAL_FLAG, PartialSumSeries
 
@@ -172,6 +175,65 @@ def test_wrong_order_symbol_flagged(t1):
     sym = weight_power_symbol(t1, 1.0, -2.0)
     est = estimate_slope(sum_series(sym, geometric_schedule(16.0, 2.0, 11)))
     assert NON_CLASSICAL_FLAG in est.flags
+
+
+# ---------------------------------------------------------------------------
+# the batched closed-form fit
+
+
+@given(
+    count=st.integers(4, 40),
+    rows=st.integers(1, 90),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_rows_match_single_row_fits_bitwise(count, rows, seed):
+    rng = np.random.default_rng(seed)
+    # at least the two octaves a fit needs
+    cutoffs = np.array(geometric_schedule(2.0, 4.0 ** (1.0 / (count - 1)) * (1.0 + rng.random()), count))
+    # c log N + b with noise from none to dominant, over many magnitudes,
+    # so some rows carry the non-classical flag
+    scale = 10.0 ** rng.uniform(-8.0, 8.0, (rows, 1))
+    noise = rng.choice([0.0, 1e-6, 1e-2, 10.0], (rows, 1)) * rng.standard_normal((rows, count))
+    values = scale * (rng.standard_normal((rows, 1)) * np.log(cutoffs) + rng.standard_normal((rows, 1)) + noise)
+    batched = weakl1._estimate_slopes(cutoffs, values)
+    assert len(batched) == rows
+    for row, est in zip(values, batched):
+        alone = estimate_slope(PartialSumSeries(cutoffs, row.copy(), "signed"))
+        assert (est.value, est.error_bar, est.fit_residual, est.flags, est.window) == (
+            alone.value,
+            alone.error_bar,
+            alone.fit_residual,
+            alone.flags,
+            alone.window,
+        )
+
+
+@pytest.mark.parametrize(
+    "group, alpha, schedule",
+    [
+        (Torus(1), -1.0, geometric_schedule(16.0, 2.0, 13)),
+        (Torus(2), -2.0, geometric_schedule(4.0, 2.0, 9)),
+        (Torus(3), -3.0, geometric_schedule(4.0, 2.0, 7)),
+        (SU2(), -3.0, geometric_schedule(16.0, 2.0, 11)),
+    ],
+)
+def test_closed_form_fit_matches_polyfit(group, alpha, schedule):
+    series = sum_series(weight_power_symbol(group, 1.0, alpha), schedule)
+    est = estimate_slope(series)
+    first = est.window[0]
+    logs, vals = np.log(series.cutoffs[first:]), series.values[first:]
+    slope, intercept = np.polyfit(logs, vals, 1)
+    resid = np.max(np.abs(vals - (slope * logs + intercept)))
+    assert abs(est.value - slope) <= 1e-12 * abs(slope)
+    # the residual is about 1e-5 of the values, and both fits round at the
+    # values' scale, so it agrees to 1e-12 of that scale
+    assert abs(est.fit_residual - resid) <= 1e-12 * np.max(np.abs(vals))
+    # against the exact least-squares residual of the same floats
+    xs, ys = [Fraction(float(v)) for v in logs], [Fraction(float(v)) for v in vals]
+    xm, ym = sum(xs) / len(xs), sum(ys) / len(ys)
+    c = sum((x - xm) * (y - ym) for x, y in zip(xs, ys)) / sum((x - xm) ** 2 for x in xs)
+    exact = float(max(abs(y - ym - c * (x - xm)) for x, y in zip(xs, ys)))
+    assert abs(est.fit_residual - exact) <= 1e-11 * exact
 
 
 # ---------------------------------------------------------------------------
