@@ -49,12 +49,12 @@ def _adjoint(a: np.ndarray) -> np.ndarray:
     return a.conj().swapaxes(-1, -2)
 
 
-def _as_square(t, assume_finite: bool = False) -> np.ndarray:
-    """A complex array of shape (..., d, d), checked finite unless ``assume_finite``."""
+def _as_square(t) -> np.ndarray:
+    """A finite complex array of shape (..., d, d)."""
     a = np.asarray(t, dtype=np.complex128)
     if a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise InvalidArgumentError(f"expected a square matrix, got shape {a.shape}")
-    if not assume_finite and not np.all(np.isfinite(a.view(np.float64))):
+    if not np.all(np.isfinite(a.view(np.float64))):
         raise InvalidArgumentError("matrix entries must be finite")
     return a
 
@@ -153,15 +153,14 @@ def hermitian_eig(h) -> HermEig:
     return HermEig(vals, vecs)
 
 
-def hermitian_eigenvalues(h, assume_hermitian: bool = False, assume_finite: bool = False) -> np.ndarray:
+def hermitian_eigenvalues(h, assume_hermitian: bool = False) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a (..., d, d) Hermitian stack.
 
     ``assume_hermitian`` is for stacks that are Hermitian in floating point
     by construction, such as (T + T*)/2 and (T - T*)/(2i): only finiteness
-    is checked, and not even that with ``assume_finite`` (for a caller
-    that has checked it).
+    is checked.
     """
-    a = _as_square(h, assume_finite) if assume_hermitian else check_hermitian(h)
+    a = _as_square(h) if assume_hermitian else check_hermitian(h)
     return _lapack(np.linalg.eigvalsh, a)
 
 
@@ -175,29 +174,26 @@ def drop_small(vals: np.ndarray) -> np.ndarray:
     return np.where(np.abs(vals) > thr, vals, 0.0)
 
 
-def singular_values(t, assume_finite: bool = False) -> np.ndarray:
+def singular_values(t) -> np.ndarray:
     """Singular values of each matrix of a (..., d, d) stack, small ones zeroed (``drop_small``).
 
     For d = 1 that is |t| as ``np.abs`` rounds it (LAPACK's may differ in
     the last bit), so a one-dimensional class matches its diagonal exactly.
-    ``assume_finite`` skips the finiteness check, for a caller that has
-    made it.
     """
-    a = _as_square(t, assume_finite)
+    a = _as_square(t)
     return drop_small(np.abs(a[..., 0]) if a.shape[-1] == 1 else _lapack(np.linalg.svd, a, compute_uv=False))
 
 
-def part_eigenvalues(t, assume_finite: bool = False) -> np.ndarray:
+def part_eigenvalues(t) -> np.ndarray:
     """Eigenvalues of Re T and Im T as the rows of a (2, d) array, small ones zeroed.
 
     One LAPACK call on the stacked pair, which is Hermitian by construction;
-    it also refuses a non-finite T, unless ``assume_finite`` says the
-    caller has.
+    it also refuses a non-finite T.
     """
     a = np.asarray(t, dtype=np.complex128)
     adj = _adjoint(a)
     parts = np.stack((0.5 * (a + adj), -0.5j * (a - adj)))
-    return drop_small(hermitian_eigenvalues(parts, assume_hermitian=True, assume_finite=assume_finite))
+    return drop_small(hermitian_eigenvalues(parts, assume_hermitian=True))
 
 
 def trace_norm(t) -> np.ndarray:

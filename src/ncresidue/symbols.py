@@ -20,11 +20,11 @@ every mode.  A dense class is evaluated as a matrix and gives its diagonal
 and Im sigma as the real and imaginary parts (``four``); spectral values
 within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  A dense class
 with a non-finite entry gives NaN entries in ``abs`` and ``four``, so a
-dual sum over it raises NumericalFailureError there, as in ``signed`` when
-the entry is on the diagonal (the trace ignores the others).  The envelope spot check reads the operator norm of a class
-as the largest modulus of its ``abs`` entries, and refuses a norm that is
-not within the envelope, NaN included, with InvalidArgumentError naming
-the class.
+dual sum over it raises NumericalFailureError there, as in ``signed``
+when the entry is on the diagonal (the trace ignores the others).  The
+envelope spot check reads the operator norm of a class as the largest
+modulus of its ``abs`` entries, and refuses a norm that is not within the
+envelope, NaN included, with InvalidArgumentError naming the class.
 
 Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
 ``DualChunk`` to the diagonals of the chunk's classes concatenated in chunk
@@ -142,14 +142,15 @@ class MatrixSymbol:
 def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
     if mode == "signed":
         return np.diagonal(mat)
-    # the one finiteness test of the class: a non-finite class gives NaN
-    # entries, refused by a dual sum as a non-finite sum and by the envelope
-    # spot check as a violation at the class
-    if not np.isfinite(mat).all():
+    # evaluate has checked the shape, so matcalc can only refuse a non-finite
+    # class: it gives NaN entries, refused by a dual sum as a non-finite sum
+    # and by the envelope spot check as a violation at the class
+    try:
+        if mode == "abs":
+            return matcalc.singular_values(mat)
+        re, im = matcalc.part_eigenvalues(mat)
+    except InvalidArgumentError:
         return np.full(len(mat), np.nan, dtype=np.complex128)
-    if mode == "abs":
-        return matcalc.singular_values(mat, assume_finite=True)
-    re, im = matcalc.part_eigenvalues(mat, assume_finite=True)
     return re + 1j * im
 
 
