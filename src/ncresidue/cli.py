@@ -7,10 +7,12 @@ configuration apart from the wall-clock field; floats are printed with 17
 significant digits so parsed values round-trip exactly.
 
 Exit codes: 0 success, 2 flagged (result present but unreliable),
-1 numerical failure, 64 malformed configuration (a non-finite number such
-as NaN or Infinity included) or usage.  A sweep whose series is too short
-for ``weakl1.estimate_slope`` still exits 0: its CSV is written, and its
-report carries value 0 and ``SHORT_SWEEP_FLAG``.
+1 numerical failure, 64 malformed configuration or usage.  Malformed
+includes a non-finite number (NaN, Infinity), a string or boolean where a
+number belongs, a fractional count, a non-boolean ``cross_check`` and a
+schedule whose last cutoff nears float max.  A sweep whose series is too
+short for ``weakl1.estimate_slope`` still exits 0: its CSV is written, and
+its report carries value 0 and ``SHORT_SWEEP_FLAG``.
 """
 
 from __future__ import annotations
@@ -67,12 +69,20 @@ def _require(cond: bool, message: str) -> None:
         raise ConfigError(message)
 
 
+def _number(value, key: str, integer: bool = False):
+    """A number in float range: a float, or an int if ``integer``; else ConfigError naming ``key``."""
+    _require(value is not None, f"config needs {key}")
+    kinds = int if integer else (int, float)
+    ok = isinstance(value, kinds) and not isinstance(value, bool) and abs(value) <= sys.float_info.max
+    _require(ok, f"{key} must be {'an integer' if integer else 'a finite number'}, got {value!r}")
+    return value if integer else float(value)
+
+
 def _build_group(spec) -> GroupModel:
     _require(isinstance(spec, dict) and "kind" in spec, "config needs group.kind")
     kind = spec["kind"]
     if kind == "torus":
-        _require("n" in spec, "torus group needs n")
-        n = spec["n"]
+        n = _number(spec.get("n"), "group.n", integer=True)
         _require(n in (1, 2, 3), f"torus n must be 1, 2 or 3, got {n!r}")
         return Torus(n)
     if kind == "su2":
@@ -84,12 +94,13 @@ def build_symbol(group: GroupModel, spec) -> MatrixSymbol:
     _require(isinstance(spec, dict) and "family" in spec, "config needs symbol.family")
     family = spec["family"]
     if family == "weight_power":
-        _require("alpha" in spec, "weight_power needs alpha")
-        coeff = complex(float(spec.get("coeff_re", 1.0)), float(spec.get("coeff_im", 0.0)))
-        return weight_power_symbol(group, coeff, float(spec["alpha"]))
+        coeff = complex(
+            _number(spec.get("coeff_re", 1.0), "symbol.coeff_re"),
+            _number(spec.get("coeff_im", 0.0), "symbol.coeff_im"),
+        )
+        return weight_power_symbol(group, coeff, _number(spec.get("alpha"), "symbol.alpha"))
     if family == "diag_signed":
-        _require("alpha" in spec, "diag_signed needs alpha")
-        return diag_signed_symbol(group, float(spec["alpha"]))
+        return diag_signed_symbol(group, _number(spec.get("alpha"), "symbol.alpha"))
     raise ConfigError(f"unknown symbol family {family!r}")
 
 
@@ -106,7 +117,7 @@ def build_modulation(group: GroupModel, spec):
         isinstance(coeffs, list) and len(coeffs) >= 1,
         "modulation needs a non-empty coefficients list",
     )
-    coeffs = [float(c) for c in coeffs]
+    coeffs = [_number(c, "modulation.coefficients") for c in coeffs]
     kind = spec["kind"]
     if kind == "fourier":
         _require(group.name.startswith("T"), "fourier modulation applies to torus groups")
@@ -147,16 +158,15 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
     if task in ("weakl1", "residue", "sweep"):
         sched_spec = raw.get("schedule")
         _require(isinstance(sched_spec, dict), f"task {task!r} needs a schedule object")
-        for key in ("start", "factor", "count"):
-            _require(key in sched_spec, f"schedule needs {key}")
-        start = float(sched_spec["start"])
-        factor = float(sched_spec["factor"])
-        count = int(sched_spec["count"])
-        _require(start >= 1.0, "schedule.start must be >= 1")
-        _require(factor > 1.0, "schedule.factor must be > 1")
+        start = _number(sched_spec.get("start"), "schedule.start")
+        factor = _number(sched_spec.get("factor"), "schedule.factor")
+        count = _number(sched_spec.get("count"), "schedule.count", integer=True)
         min_count = 4 if task in ("weakl1", "residue") else 1
         _require(count >= min_count, f"task {task!r} needs schedule.count >= {min_count}")
-        schedule = weakl1.geometric_schedule(start, factor, count)
+        try:
+            schedule = weakl1.geometric_schedule(start, factor, count)
+        except InvalidArgumentError as exc:
+            raise ConfigError(f"schedule (start, factor, count): {exc}") from None
 
     mode = raw.get("mode", "abs")
     _require(mode in ("abs", "signed"), f"mode must be 'abs' or 'signed', got {mode!r}")
@@ -170,10 +180,8 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
         _require(task == "residue", "modulation is only meaningful for the residue task")
         build_modulation(group, modulation)  # validate the kind now
     resolution = raw.get("quadrature_resolution", 8 if modulation is not None else 1)
-    _require(
-        isinstance(resolution, int) and resolution >= 1,
-        "quadrature_resolution must be a positive integer",
-    )
+    resolution = _number(resolution, "quadrature_resolution", integer=True)
+    _require(resolution >= 1, "quadrature_resolution must be >= 1")
 
     zeta_spec = raw.get("zeta", {})
     _require(isinstance(zeta_spec, dict), "zeta options must be an object")
@@ -183,15 +191,18 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
             isinstance(s_schedule, list) and len(s_schedule) >= 3,
             "zeta.s_schedule needs at least 3 values",
         )
-        s_schedule = [float(v) for v in s_schedule]
+        s_schedule = [_number(v, "zeta.s_schedule") for v in s_schedule]
     zeta_tol = zeta_spec.get("tol")
     if zeta_tol is not None:
-        zeta_tol = float(zeta_tol)
+        zeta_tol = _number(zeta_tol, "zeta.tol")
         _require(zeta_tol > 0.0, "zeta.tol must be positive")
     zeta_max = zeta_spec.get("max_cutoff")
     if zeta_max is not None:
-        zeta_max = float(zeta_max)
-        _require(math.isfinite(zeta_max) and zeta_max >= 1.0, "zeta.max_cutoff must be finite and >= 1")
+        zeta_max = _number(zeta_max, "zeta.max_cutoff")
+        _require(zeta_max >= 1.0, "zeta.max_cutoff must be >= 1")
+
+    cross_check = raw.get("cross_check", False)
+    _require(isinstance(cross_check, bool), f"cross_check must be true or false, got {cross_check!r}")
 
     output = raw.get("output", {})
     _require(isinstance(output, dict), "output options must be an object")
@@ -207,7 +218,7 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
         s_schedule=s_schedule,
         zeta_tol=zeta_tol,
         zeta_max_cutoff=zeta_max,
-        cross_check=bool(raw.get("cross_check", False)),
+        cross_check=cross_check,
         report_path=output.get("report"),
         series_path=output.get("series"),
         echo=raw,
@@ -260,12 +271,10 @@ def _complex_dict(z: complex) -> dict:
 
 
 def _build_field(config: RunConfig, sym: MatrixSymbol) -> SymbolField:
-    if config.modulation is None:
-        quad = config.group.haar_quadrature(config.quadrature_resolution)
-        return invariant_field(sym, quad)
-    a = build_modulation(config.group, config.modulation)
     quad = config.group.haar_quadrature(config.quadrature_resolution)
-    return modulated_field(a, sym, quad, sym.envelope.order)
+    if config.modulation is None:
+        return invariant_field(sym, quad)
+    return modulated_field(build_modulation(config.group, config.modulation), sym, quad, sym.envelope.order)
 
 
 def _series_rows(series: weakl1.PartialSumSeries):
@@ -335,11 +344,9 @@ def _run_residue(config: RunConfig):
             {
                 "node": [float(v) for v in nr.node],
                 "weight": nr.weight,
+                # vars lists the parts in field order: re_pos, re_neg, im_pos, im_neg
                 "four_norms": {
-                    "re_pos": {"value": nr.norms.re_pos.value, "error_bar": nr.norms.re_pos.error_bar},
-                    "re_neg": {"value": nr.norms.re_neg.value, "error_bar": nr.norms.re_neg.error_bar},
-                    "im_pos": {"value": nr.norms.im_pos.value, "error_bar": nr.norms.im_pos.error_bar},
-                    "im_neg": {"value": nr.norms.im_neg.value, "error_bar": nr.norms.im_neg.error_bar},
+                    part: {"value": e.value, "error_bar": e.error_bar} for part, e in vars(nr.norms).items()
                 },
             }
             for nr in report.per_node

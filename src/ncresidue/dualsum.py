@@ -152,12 +152,13 @@ def annulus_sums(
     dtype = _MODE_DTYPE[mode]
     out = np.zeros((len(schedule), k * _MODE_CHANNELS[mode]), dtype=dtype)
     blocks_of = sym.group.radial_shells if sym.radial_fn is not None else sym.group.dual_chunks
-    for j, hi in enumerate(schedule):
-        acc = _Kahan(out.shape[1], dtype)
-        for block in blocks_of(lo, hi):
-            acc.add(_block_terms(sym, block, mode, factors).ravel())
-        out[j] = acc.value()
-        lo = hi
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused by _block_terms
+        for j, hi in enumerate(schedule):
+            acc = _Kahan(out.shape[1], dtype)
+            for block in blocks_of(lo, hi):
+                acc.add(_block_terms(sym, block, mode, factors).ravel())
+            out[j] = acc.value()
+            lo = hi
     return out
 
 

@@ -39,13 +39,12 @@ from typing import Optional
 import numpy as np
 
 from . import dualsum, weakl1, zeta
-from .errors import InvalidArgumentError, NumericalFailureError
-from .symbols import Expansion, MatrixSymbol, SymbolField, extract_residue_component
+from .errors import NumericalFailureError
+from .symbols import Expansion, MatrixSymbol, SymbolField, check_critical_order, extract_residue_component
 from .weakl1 import SlopeEstimate
 
 NON_CLASSICAL_ORDER_FLAG = "non-classical order"
 UNRELIABLE_FLAG = "unreliable"
-_ORDER_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -133,21 +132,13 @@ def _four_norms(series: list, schedule) -> list:
 
 def frozen_residue(sym: MatrixSymbol, schedule) -> FourNorms:
     """Four-norm decomposition of an invariant symbol of critical order."""
-    n = sym.group.dim
-    if abs(sym.envelope.order + n) > _ORDER_TOL:
-        raise InvalidArgumentError(
-            f"frozen residue needs order {-n}, envelope declares {sym.envelope.order}"
-        )
+    check_critical_order(sym.group, sym.envelope.order, "frozen residue: envelope order")
     return _four_norms([four_part_series(sym, schedule)], schedule)[0]
 
 
 def wodzicki_residue(field: SymbolField, schedule) -> ResidueReport:
     """Residue of a degree -n symbol field: Haar integral of frozen residues."""
-    n = field.group.dim
-    if abs(field.degree + n) > _ORDER_TOL:
-        raise InvalidArgumentError(
-            f"field degree {field.degree} is not the critical order {-n}"
-        )
+    check_critical_order(field.group, field.degree, "field degree")
     quad = field.quadrature
     if field.scaled is None:
         resolved = [(sym, 1.0) for sym in field.node_symbols]
@@ -161,7 +152,8 @@ def wodzicki_residue(field: SymbolField, schedule) -> ResidueReport:
     # one (symbol, factor) column of the fit per distinct pair, in node order;
     # a negative factor swaps the signs of the parts
     keys = list(dict.fromkeys((id(sym), a) for sym, a in resolved))
-    columns = [abs(a) * series_of[i][:, _SIGN_SWAP if a < 0.0 else slice(None)] for i, a in keys]
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite column is refused by _four_norms
+        columns = [abs(a) * series_of[i][:, _SIGN_SWAP if a < 0.0 else slice(None)] for i, a in keys]
     norms_of = dict(zip(keys, _four_norms(columns, schedule)))
     node_results = [
         NodeResult(node=node, weight=float(w), norms=norms_of[id(sym), a])

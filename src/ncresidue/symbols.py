@@ -154,6 +154,12 @@ def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
     return re + 1j * im
 
 
+def check_critical_order(group: GroupModel, order: float, what: str) -> None:
+    """Refuse ``what``, of degree or order ``order``, unless that is -n on the n-dimensional group."""
+    if abs(order + group.dim) > _DEGREE_TOL:
+        raise InvalidArgumentError(f"{what} {order} is not the critical order {-group.dim}")
+
+
 def _spot_cutoff(group: GroupModel, max_classes: int) -> float:
     cutoff = 4.0
     while True:

@@ -7,13 +7,14 @@ it), so the estimator fits S against log N over a trailing window and
 reports the slope: for S(N) = c log N + b + o(1) the slope converges to c
 orders of magnitude faster than the ratio.
 
-The fit is closed-form least squares on centred log N, with no rescaling
-of the values: for x = log N minus its mean over the window, the slope is
-sum(x * (S - mean S)) / sum(x^2), and a series too close to float max
-fails as a non-finite fit.  ``_estimate_slopes`` fits many series sharing
-one schedule at once, laid out as the C-contiguous rows of an (m, J)
-array; every mean, dot product and maximum runs along a row, so a row's
-estimate is bit-identical whether it is fitted alone or beside others.
+One least-squares fitter, ``_fit(basis, rows)``, serves both residue
+routes: the slope is coefficient 1 against the basis (1, log N), and the
+zeta route reads coefficient 0 of its Richardson fit in N and of its
+polynomial in s (see ``zeta``).  Rows are centred by their means, with no
+rescaling, so a series too close to float max fails as a non-finite fit.
+``_estimate_slopes`` fits many series sharing one schedule at once, as the
+C-contiguous rows of an (m, J) array; every weight is applied by a sum
+along a row, so a row's estimate is bit-identical alone or beside others.
 ``estimate_slope`` is its one-row case, and the residue assembly fits
 every part of every node of a field in one call.
 
@@ -24,6 +25,7 @@ stability heuristics, not rigorous bounds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -39,6 +41,9 @@ def geometric_schedule(start: float = 16.0, factor: float = 2.0, count: int = 11
     """Cutoffs start * factor**k; equal log spacing suits the slope fit."""
     if start < 1.0 or factor <= 1.0 or count < 1:
         raise InvalidArgumentError("need start >= 1, factor > 1, count >= 1")
+    # the last cutoff, before the list is built: at most e^709, near float max (a NaN fails too)
+    if not math.log(start) + (count - 1) * math.log(factor) <= 709.0:
+        raise InvalidArgumentError(f"the last cutoff {start:g} * {factor:g}**{count - 1} is above e^709")
     return [start * factor**k for k in range(count)]
 
 
@@ -104,15 +109,23 @@ def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs") -> PartialSumSeri
     return PartialSumSeries(np.asarray(schedule, dtype=np.float64), values, mode)
 
 
-def _fit(logs: np.ndarray, rows: np.ndarray):
-    """Least-squares lines through each row against ``logs``: (slopes, max |residual|).
+def _fit(basis: np.ndarray, rows: np.ndarray):
+    """(m, p) least-squares coefficients of the C-contiguous (m, J) rows against ``basis``, and max |residual|.
 
-    ``rows`` is C-contiguous, one series per row.
+    ``basis`` is (J, p), its first column ones.  The slope reads coefficient
+    1 against (1, log N), the zeta route coefficient 0.  Centred rows meet the
+    pseudo-inverse of the centred other columns in sums along each row, so a
+    row's bits do not depend on the rows beside it.
     """
-    x = logs - logs.sum() / len(logs)
-    dev = rows - (rows.sum(-1) / rows.shape[-1])[:, None]
-    slopes = (dev * x).sum(-1) / (x * x).sum()
-    return slopes, np.abs(dev - slopes[:, None] * x).max(-1)
+    means = basis[:, 1:].sum(0) / len(basis)
+    cols = basis[:, 1:] - means
+    u, sv, vt = np.linalg.svd(cols, full_matrices=False)
+    pinv = (vt.T / sv) @ u.T
+    mean = rows.sum(-1) / rows.shape[-1]
+    dev = rows - mean[:, None]
+    beta = (dev[:, None, :] * pinv).sum(-1)
+    resid = np.abs(dev - (beta[:, None, :] * cols).sum(-1)).max(-1)
+    return np.concatenate(((mean - (beta * means).sum(-1))[:, None], beta), 1), resid
 
 
 def _estimate_slopes(cutoffs, rows) -> list:
@@ -132,11 +145,13 @@ def _estimate_slopes(cutoffs, rows) -> list:
     window = max(4, (k + 1) // 2)
     first = k - window
     span = logs[-1] - logs[first]
+    basis = np.stack((np.ones_like(logs), logs), 1)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing fit is refused below
-        slopes, resid = _fit(logs[first:], np.ascontiguousarray(rows[:, first:]))
+        coefs, resid = _fit(basis[first:], np.ascontiguousarray(rows[:, first:]))
+        slopes = coefs[:, 1]
         bars = 2.0 * resid / span
         if first >= 1:
-            shifted, _ = _fit(logs[first - 1 : k - 1], np.ascontiguousarray(rows[:, first - 1 : k - 1]))
+            shifted = _fit(basis[first - 1 : k - 1], np.ascontiguousarray(rows[:, first - 1 : k - 1]))[0][:, 1]
             bars = np.maximum(np.abs(slopes - shifted), bars)
     finite = np.isfinite(slopes) & np.isfinite(bars)
     if not finite.all():

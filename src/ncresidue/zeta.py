@@ -35,25 +35,27 @@ W = N e^U, and past W by the leading power law p(W) W^n rho W^-s / s.  Its
 drift is the change between two quadrature orders plus the change of
 p(w) w^n over the last panel.  Samples settle near N = 128 on every group.
 
-Diagonal and dense symbols solve the last four S_psi(N) for
-(f, a_0, a_1, a_2) against (1, N^-s, N^(-s-1), N^(-s-2)), or for fewer
-unknowns while fewer cutoffs exist; no envelope constant enters.  Their
-drift is zero.
+Diagonal and dense symbols fit the last four S_psi(N) against
+(1, N^-s, N^(-s-1), N^(-s-2)), or fewer columns while fewer cutoffs exist,
+with ``weakl1._fit``; the basis is square, so the fit is the solve for
+(f, a_0, a_1, a_2) and f(-s) is its coefficient 0.  No envelope constant
+enters; their drift is zero.
 
 A sample's bound is TAIL_SAFETY_FACTOR * (|value - previous value| +
 drift); the first sample has none.  The cutoff doubles until the bound
 falls below tol * max(1, |S_psi(N)|) or the budget runs out
 (``default_max_cutoff``; a budget off the doubling grid rounds down to it).
 
-The residue is read off alike for every symbol: g(s) = s * f(-s) is
-interpolated by the quadratic through the three smallest s and evaluated
-at 0.  The error bar is its distance from the line through the two
-smallest s, plus the sample bounds propagated through the quadratic's
-weights at 0.  A least-squares line through the same three points
-deviating at 0 by more than 10% of the largest |g| (the samples' or the
-value's) flags a higher-order pole or a symbol of the wrong order; a
-convergent trace, whose g(s) = s * f(-s) runs to 0 along a line, is not
-flagged.
+The residue is read off alike for every symbol, by the same fitter:
+g(s) = s * f(-s) at the three smallest s against (1, s, s^2), whose
+coefficient 0 is the quadratic's value at 0.  The error bar is its
+distance from coefficient 0 of the line through the two smallest s, plus
+the sample bounds propagated through the quadratic's weights at 0 (the
+coefficients 0 of the identity rows).  A least-squares line through the
+same three points deviating at 0 by more than 10% of the largest |g| (the
+samples' or the value's) flags a higher-order pole or a symbol of the
+wrong order; a convergent trace, whose g(s) = s * f(-s) runs to 0 along a
+line, is not flagged.
 """
 
 from __future__ import annotations
@@ -67,13 +69,13 @@ import numpy as np
 from . import dualsum
 from .errors import BudgetExceededError, InvalidArgumentError, NumericalFailureError
 from .groups import GroupModel
-from .symbols import MatrixSymbol
+from .symbols import MatrixSymbol, check_critical_order
+from .weakl1 import _fit
 
 DEFAULT_START_CUTOFF = 16.0
 DEFAULT_S_SCHEDULE = (0.2, 0.1, 0.05)
 DEFAULT_TOLERANCE = 1e-10
 TAIL_SAFETY_FACTOR = 2.0
-_ORDER_TOL = 1e-9
 
 # Diagonal and dense symbols: S_psi at this many trailing cutoffs solves for
 # f(-s) and the coefficients of N^-s, N^(-s-1) and N^(-s-2).
@@ -115,14 +117,6 @@ class ZetaResidue:
     error_bar: float
     samples: tuple
     flags: tuple = ()
-
-
-def _check_critical_order(sym: MatrixSymbol) -> None:
-    n = sym.group.dim
-    if abs(sym.envelope.order + n) > _ORDER_TOL:
-        raise InvalidArgumentError(
-            f"zeta path needs a symbol of order {-n}, envelope declares {sym.envelope.order}"
-        )
 
 
 def _cutoffs(start: float, max_cutoff: float):
@@ -206,13 +200,13 @@ def _factor_rows(s: list, cut: float, w: np.ndarray) -> np.ndarray:
 
 
 def _richardson(cuts: list, sums: list, s: float) -> complex:
-    """f(-s) from S_psi at the cutoffs: the solve against 1, N^-s, N^(-s-1), ...
+    """f(-s) from S_psi at the cutoffs: coefficient 0 against 1, N^-s, N^(-s-1), ...
 
     As many unknowns as cutoffs; the cutoffs are scaled by the last one.
     """
     x = np.array(cuts) / cuts[-1]
     basis = np.array([np.ones_like(x)] + [x ** (-s - j) for j in range(len(x) - 1)]).T
-    return complex(np.linalg.solve(basis, np.array(sums))[0])
+    return complex(_fit(basis, np.array([sums]))[0][0, 0])
 
 
 def _stops(sample: ZetaSample, tol: float, max_cutoff: float, min_cutoff) -> bool:
@@ -231,7 +225,7 @@ def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None)
     are per s.  Each s stops by its own rule and drops out; if the budget
     runs out first, the first s left raises BudgetExceededError.
     """
-    _check_critical_order(sym)
+    check_critical_order(sym.group, sym.envelope.order, "zeta path: envelope order")
     s_values = [float(v) for v in s_values]
     if not all(v > 0.0 for v in s_values):
         raise InvalidArgumentError(f"s must be positive, got {s_values}")
@@ -308,18 +302,6 @@ def zeta_trace(
     return _zeta_samples(sym, [s], tol, start_cutoff, max_cutoff, min_cutoff)[0]
 
 
-def _intercept_weights(x: np.ndarray) -> np.ndarray:
-    """Weights at 0 of the least-squares line through the points x."""
-    xbar = float(np.mean(x))
-    sxx = float(np.sum((x - xbar) ** 2))
-    return 1.0 / len(x) - xbar * (x - xbar) / sxx
-
-
-def _lagrange_weights(x: np.ndarray) -> np.ndarray:
-    """Weights at 0 of the polynomial interpolating at the points x."""
-    return np.array([np.prod([xj / (xj - xi) for xj in x if xj != xi]) for xi in x])
-
-
 def zeta_residue(
     sym: MatrixSymbol,
     s_schedule=None,
@@ -332,31 +314,25 @@ def zeta_residue(
     The defaults, DEFAULT_S_SCHEDULE and DEFAULT_TOLERANCE, serve every
     symbol structure.  All s values are sampled in one doubling loop.
     """
-    if s_schedule is None:
-        s_schedule = DEFAULT_S_SCHEDULE
-    if tol is None:
-        tol = DEFAULT_TOLERANCE
-    s_schedule = [float(v) for v in s_schedule]
+    s_schedule = [float(v) for v in (DEFAULT_S_SCHEDULE if s_schedule is None else s_schedule)]
+    tol = DEFAULT_TOLERANCE if tol is None else tol
     if len(s_schedule) < 3:
         raise InvalidArgumentError("s schedule needs at least 3 values")
     if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])) or min(s_schedule) <= 0.0:
         raise InvalidArgumentError("s schedule must be strictly decreasing and positive")
     samples = tuple(_zeta_samples(sym, s_schedule, tol, start_cutoff, max_cutoff))
     tail = samples[-3:]
-    sv = np.array([smp.s for smp in tail])
     gv = np.array([smp.s * smp.value for smp in tail], dtype=np.complex128)
-    weights = _lagrange_weights(sv)
-    value = complex(weights @ gv)
-    # the line through the two smallest s values
-    g1, g2 = gv[-1], gv[-2]
-    s1, s2 = sv[-1], sv[-2]
-    line = complex(g1 - s1 * (g2 - g1) / (s2 - s1))
-    propagated = float(
-        np.sum(np.abs(weights) * np.array([smp.s * smp.tail_bound for smp in tail]))
-    )
+    # g(s) = s * f(-s) against (1, s, s^2) at the three smallest s; the
+    # identity rows give the quadratic's weights at 0
+    poly = np.vander([smp.s for smp in tail], 3, increasing=True)
+    coefs = _fit(poly, np.vstack((gv, np.eye(3))))[0][:, 0]
+    value, weights = complex(coefs[0]), np.abs(coefs[1:])
+    line = complex(_fit(poly[1:, :2], gv[None, 1:])[0][0, 0])  # through the two smallest s
+    propagated = float(np.sum(weights * np.array([smp.s * smp.tail_bound for smp in tail])))
     bar = abs(value - line) + propagated
     flags = ()
     scale = max(abs(value), float(np.max(np.abs(gv))))
-    if abs(value - complex(_intercept_weights(sv) @ gv)) > 0.1 * scale + propagated:
+    if abs(value - complex(_fit(poly[:, :2], gv[None])[0][0, 0])) > 0.1 * scale + propagated:
         flags = ("higher-order pole or wrong order",)
     return ZetaResidue(value=value, error_bar=bar, samples=samples, flags=flags)

@@ -249,6 +249,31 @@ def test_parse_config_refuses_invalid_numbers(symbol, zeta_spec):
         cli.parse_config(payload)
 
 
+@pytest.mark.parametrize(
+    "base, path, value",
+    [
+        (SU2_WEAKL1, ("schedule", "start"), "x"),
+        (SU2_WEAKL1, ("schedule", "count"), "many"),
+        (SU2_WEAKL1, ("schedule", "count"), 1000000),
+        (SU2_WEAKL1, ("schedule", "count"), 4.7),
+        (SU2_DIAG_SIGNED_ZETA, ("zeta", "tol"), "tiny"),
+        (TORUS_RESIDUE, ("cross_check",), "no"),
+    ],
+    ids=[
+        "start-string", "count-string", "count-overflows", "count-fraction", "tol-string", "cross_check-string"
+    ],
+)
+def test_malformed_config_value_is_a_config_error(tmp_path, capsys, base, path, value):
+    payload = json.loads(json.dumps(base))
+    node = payload
+    for key in path[:-1]:
+        node = node.setdefault(key, {})
+    node[path[-1]] = value
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    assert cli.main([payload["task"], "--config", cfg, "--out", str(tmp_path / "r.json")]) == 64
+    assert path[-1] in capsys.readouterr().err
+
+
 def test_residue_with_cross_check(tmp_path):
     payload = {
         "group": {"kind": "su2"},

@@ -152,6 +152,13 @@ def test_narrow_span_rejected():
         estimate_slope(series)
 
 
+def test_schedule_with_an_overflowing_last_cutoff_rejected():
+    with pytest.raises(InvalidArgumentError, match="last cutoff"):
+        geometric_schedule(16.0, 2.0, 1_000_000)
+    with pytest.raises(InvalidArgumentError, match="last cutoff"):
+        geometric_schedule(1e300, 1e10, 2)
+
+
 def test_overflowing_slope_fit_raises(su2):
     # the partial sums are finite, but the fit of them against log N is not
     sym = weight_power_symbol(su2, 1e307, -3.0)

@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, strategies as st
 
 from ncresidue import (
     SU2,
@@ -22,7 +23,7 @@ from ncresidue import (
     zeta_residue,
     zeta_trace,
 )
-from ncresidue import dualsum
+from ncresidue import dualsum, weakl1
 from ncresidue.zeta import (
     DEFAULT_S_SCHEDULE,
     DEFAULT_START_CUTOFF,
@@ -235,6 +236,39 @@ def test_non_affine_behavior_flagged(t1):
     sym = scalar_symbol(t1, profile, DecayEnvelope(101.0, -1.0))
     zr = zeta_residue(sym, s_schedule=[1.6, 0.8, 0.4], tol=0.01)
     assert "higher-order pole or wrong order" in zr.flags
+
+
+@given(
+    s=st.floats(0.01, 2.0),
+    smallest=st.floats(0.01, 0.5),
+    ratios=st.tuples(st.floats(1.25, 4.0), st.floats(1.25, 4.0)),
+    count=st.integers(1, 50),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_on_the_zeta_bases_is_row_wise_and_matches_the_solve(s, smallest, ratios, count, seed):
+    rng = np.random.default_rng(seed)
+    # the Richardson basis of a sample at four doubling cutoffs, scaled by the last
+    x = np.array([0.125, 0.25, 0.5, 1.0])
+    richardson = np.array([np.ones(4)] + [x ** (-s - j) for j in range(3)]).T
+    # the quadratic in s through three decreasing s values
+    sv = np.array([smallest * ratios[0] * ratios[1], smallest * ratios[0], smallest])
+    poly = np.vander(sv, 3, increasing=True)
+    lagrange = np.array([np.prod([xj / (xj - xi) for xj in sv if xj != xi]) for xi in sv])
+    for basis in (richardson, poly):
+        k = len(basis)
+        scale = 10.0 ** rng.uniform(-8.0, 8.0, (count, 1))
+        rows = scale * (rng.standard_normal((count, k)) + 1j * rng.standard_normal((count, k)))
+        coefs, resid = weakl1._fit(basis, rows)
+        for row, c, r in zip(rows, coefs, resid):
+            alone, alone_resid = weakl1._fit(basis, row[None].copy())
+            assert np.array_equal(alone[0], c) and alone_resid[0] == r
+        # coefficient 0 is the linear functional w @ row; it rounds at the
+        # scale of sum |w| |row|, however much of that cancels
+        weights = np.linalg.solve(basis.T, np.eye(k)[0])
+        tol = 1e-12 * (np.abs(rows) @ np.abs(weights))
+        assert np.all(np.abs(coefs[:, 0] - np.linalg.solve(basis, rows.T)[0]) <= tol)
+        if basis is poly:
+            assert np.all(np.abs(coefs[:, 0] - rows @ lagrange) <= tol)
 
 
 # ---------------------------------------------------------------------------
