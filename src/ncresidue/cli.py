@@ -6,8 +6,15 @@ report (plus a CSV series for sweeps).  Reports are byte-stable for a fixed
 configuration apart from the wall-clock field; floats are printed with 17
 significant digits so parsed values round-trip exactly.
 
-Exit codes: 0 success, 2 flagged (result present but unreliable),
-1 numerical failure, 64 malformed configuration or usage.  Malformed
+The report is one document whose keys are added in the README's schema
+order, so it is written as built: ``config_echo``, ``task``, ``value``,
+``error_bar`` (both null after a numerical failure), ``series_path``,
+``per_node`` and ``cross_check`` where present, ``flags`` and, last,
+``wall_time_ms``.
+
+Exit codes: 0 success (and ``--help``), 2 flagged (result present but
+unreliable), 1 numerical failure, 64 malformed configuration or usage;
+argparse prints the usage errors.  Malformed
 includes a non-finite number (NaN, Infinity), a string or boolean where a
 number belongs, a fractional count, a non-boolean ``cross_check`` and a
 schedule whose last cutoff nears float max.  A sweep whose series is too
@@ -387,56 +394,27 @@ def run_task(config: RunConfig, out_path: Optional[str] = None, verbose: bool = 
     """
     report_path = out_path or config.report_path or "report.json"
     t0 = time.perf_counter()
-    document = {
-        "config_echo": config.echo,
-        "task": config.task,
-        "value": None,
-        "error_bar": None,
-        "flags": [],
-        "wall_time_ms": 0.0,
-    }
+    document = {"config_echo": config.echo, "task": config.task}
     try:
         value, error, flags, extra, series = _RUNNERS[config.task](config)
         if not (np.isfinite(value) and np.isfinite(error)):
             raise NumericalFailureError(f"non-finite {config.task} result: {value}, error bar {error}")
     except (InvalidArgumentError, NumericalFailureError, BudgetExceededError) as exc:
-        document["flags"] = [f"numerical failure: {exc}"]
-        document["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
-        _write_report(report_path, document)
-        if verbose:
-            print(f"error: {exc}", file=sys.stderr)
-        return 1
-    series_path = None
-    if series is not None and (config.task == "sweep" or config.series_path):
-        series_path = config.series_path or _derive_series_path(report_path)
-        write_series_csv(series_path, series)
-    document["value"] = _complex_dict(value)
-    document["error_bar"] = float(error)
-    if series_path is not None:
-        document["series_path"] = series_path
-    document.update(extra)
-    document["flags"] = flags
+        document.update(value=None, error_bar=None, flags=[f"numerical failure: {exc}"])
+        status, message = 1, f"error: {exc}"
+    else:
+        document.update(value=_complex_dict(value), error_bar=float(error))
+        if series is not None and (config.task == "sweep" or config.series_path):
+            document["series_path"] = config.series_path or _derive_series_path(report_path)
+            write_series_csv(document["series_path"], series)
+        document.update(extra, flags=flags)
+        status = 2 if set(flags) - {SHORT_SWEEP_FLAG} else 0
+        message = f"report written to {report_path}"
     document["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
-    # fixed key order for byte-stable reports
-    ordered = {
-        k: document[k]
-        for k in (
-            "config_echo",
-            "task",
-            "value",
-            "error_bar",
-            "series_path",
-            "per_node",
-            "cross_check",
-            "flags",
-            "wall_time_ms",
-        )
-        if k in document
-    }
-    _write_report(report_path, ordered)
+    _write_report(report_path, document)
     if verbose:
-        print(f"report written to {report_path}", file=sys.stderr)
-    return 2 if set(flags) - {SHORT_SWEEP_FLAG} else 0
+        print(message, file=sys.stderr)
+    return status
 
 
 def _derive_series_path(report_path: str) -> str:
@@ -459,19 +437,8 @@ def threads_from_environment() -> int:
     return 1
 
 
-class _UsageError(Exception):
-    pass
-
-
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        sys.stderr.write(f"{self.prog}: error: {message}\n")
-        raise _UsageError(message)
-
-
-def _build_parser() -> _Parser:
-    parser = _Parser(
+def _build_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
         prog="ncres",
         description="Noncommutative residues on compact Lie groups from matrix symbols",
     )
@@ -501,8 +468,8 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-    except _UsageError:
-        return USAGE_EXIT
+    except SystemExit as exc:  # argparse has printed the help, or the usage and error
+        return 0 if exc.code == 0 else USAGE_EXIT
     try:
         with open(args.config) as fh:
             raw = json.load(fh, parse_float=_finite_number, parse_constant=_finite_number)

@@ -48,6 +48,8 @@ non-finite entry has NaN ``abs`` and ``four`` spectra, so it fails so.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .errors import InvalidArgumentError, NumericalFailureError
@@ -145,8 +147,10 @@ def annulus_sums(
     if not schedule:
         raise InvalidArgumentError("schedule must be non-empty")
     lo = float(lo)
-    if schedule[0] < 1.0 or any(b <= a for a, b in zip([lo] + schedule, schedule)):
-        raise InvalidArgumentError("schedule must be strictly increasing, >= 1 and above lo")
+    # positive comparisons, so a NaN cutoff or lo fails them
+    increasing = all(b > a for a, b in zip([lo] + schedule, schedule))
+    if not (schedule[0] >= 1.0 and increasing and math.isfinite(lo) and math.isfinite(schedule[-1])):
+        raise InvalidArgumentError("need a finite lo and a finite schedule, strictly increasing, >= 1 and above lo")
     # the number of factor rows, from one probe weight
     k = 1 if factors is None else len(factors(np.ones(1)))
     dtype = _MODE_DTYPE[mode]

@@ -114,18 +114,13 @@ class DualChunk:
         )
 
     def elements(self) -> list[DualElement]:
-        out = []
-        if self.labels.ndim == 2:
-            for row, d, lam, w in zip(
-                self.labels, self.dims, self.eigenvalues, self.weights
-            ):
-                out.append(DualElement(tuple(int(v) for v in row), int(d), float(lam), float(w)))
-        else:
+        # tolist() gives Python ints and floats, and a list per T^n label row
+        return [
+            DualElement(tuple(lab) if isinstance(lab, list) else lab, int(d), lam, w)
             for lab, d, lam, w in zip(
-                self.labels, self.dims, self.eigenvalues, self.weights
-            ):
-                out.append(DualElement(int(lab), int(d), float(lam), float(w)))
-        return out
+                self.labels.tolist(), self.dims.tolist(), self.eigenvalues.tolist(), self.weights.tolist()
+            )
+        ]
 
 
 # A chunk holds at most this many diagonal entries (sum of d over its
@@ -176,8 +171,8 @@ class GroupModel:
         raise NotImplementedError
 
     def dual_elements(self, cutoff: float) -> list[DualElement]:
-        if cutoff < 1.0:
-            raise InvalidArgumentError(f"dual cutoff must be >= 1, got {cutoff}")
+        if not 1.0 <= cutoff < math.inf:
+            raise InvalidArgumentError(f"dual cutoff must be finite and >= 1, got {cutoff}")
         out: list[DualElement] = []
         for chunk in self.dual_chunks(0.0, cutoff):
             out.extend(chunk.elements())

@@ -10,12 +10,12 @@ failure surfaces as NumericalFailureError.
 
 On top of the eigensolver sit the decompositions used throughout:
 Re(T) = (T + T*)/2, Im(T) = (T - T*)/(2i), and for Hermitian H the spectral
-parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  Eigenvalues with modulus at most
-1e-12 * ||H||_F count as zero when splitting, so spectral mass at the origin
-lands in neither signed part (but also not in |H|, keeping H+ + H- = |H|).
-The trace norm Tr|T| of a general square T is the sum of its singular
-values, with the same zero threshold (``drop_small``), which also zeroes
-the small eigenvalues of Re T and Im T in ``part_eigenvalues``.
+parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  One zero rule, ``drop_small``,
+counts eigenvalues and singular values with modulus at most 1e-12 times the
+2-norm of their row (||H||_F) as zero: spectral mass at the origin lands in
+neither signed part (but also not in |H|, keeping H+ + H- = |H|), in the
+trace norm Tr|T| (the sum of the singular values) or in the eigenvalues of
+Re T and Im T (``part_eigenvalues``).
 
 Threaded BLAS kernels split large matrices differently for different thread
 counts, so eigenvalues of classes beyond d ~ 100 would depend on
@@ -216,23 +216,10 @@ def imag_part(t) -> np.ndarray:
     return -0.5j * (a - _adjoint(a))
 
 
-def split_eigenvalues(vals: np.ndarray, scale):
-    """Split a spectrum into positive and negated-negative parts.
-
-    Entries within ZERO_EIGENVALUE_FACTOR * scale of the origin are dropped
-    from both parts; ``scale`` broadcasts against ``vals``.
-    """
-    thr = ZERO_EIGENVALUE_FACTOR * np.asarray(scale)
-    pos = np.where(vals > thr, vals, 0.0)
-    neg = np.where(vals < -thr, -vals, 0.0)
-    return pos, neg
-
-
 def _parts(h):
-    a = check_hermitian(h)
-    eig = hermitian_eig(a)
-    pos, neg = split_eigenvalues(eig.eigenvalues, frobenius(a))
-    return eig, pos, neg
+    eig = hermitian_eig(h)
+    vals = drop_small(eig.eigenvalues)
+    return eig, np.maximum(vals, 0.0), np.maximum(-vals, 0.0)
 
 
 def pos_part(h) -> np.ndarray:

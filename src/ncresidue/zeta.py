@@ -9,9 +9,10 @@ Every sample of f starts from the smoothed partial sums
 
     S_psi(N) = sum d * Tr sigma * w^-s * psi(w/N)
 
-at the doubling cutoffs N = N0, 2 N0, ..., where psi is a C^inf step that
-is 1 on [0, 1/2] and 0 on [1, inf).  As psi(w/N) = 1 for w <= N/2,
-S_psi(N) is the sharp sum S(N/2) plus the psi-weighted annulus (N/2, N].
+at the doubling cutoffs N = N0, 2 N0, ... (N0 = DEFAULT_START_CUTOFF),
+where psi is a C^inf step that is 1 on [0, 1/2] and 0 on [1, inf).  As
+psi(w/N) = 1 for w <= N/2, S_psi(N) is the sharp sum S(N/2) plus the
+psi-weighted annulus (N/2, N].
 One pass over that annulus (``dualsum.annulus_sums`` with the factor rows
 w^-s and psi(w/N) w^-s) gives both it and the sharp annulus carried into
 the next cutoff, so each class or shell is evaluated once per cutoff.  All
@@ -119,9 +120,9 @@ class ZetaResidue:
     flags: tuple = ()
 
 
-def _cutoffs(start: float, max_cutoff: float):
-    """start, 2 * start, ... up to max_cutoff, rounded down to this grid."""
-    hi = float(start)
+def _cutoffs(max_cutoff: float):
+    """DEFAULT_START_CUTOFF, twice that, ... up to max_cutoff, rounded down to this grid."""
+    hi = DEFAULT_START_CUTOFF
     while hi <= max_cutoff:
         yield hi
         hi *= 2.0
@@ -217,7 +218,7 @@ def _stops(sample: ZetaSample, tol: float, max_cutoff: float, min_cutoff) -> boo
     return satisfied and (not forced or 2.0 * sample.truncation_cutoff > max_cutoff)
 
 
-def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None) -> list:
+def _zeta_samples(sym, s_values, tol, max_cutoff, min_cutoff=None) -> list:
     """One sample of f(-s) per s value, all from one doubling loop.
 
     Every cutoff enumerates, evaluates and (for scalar symbols) builds the
@@ -232,9 +233,10 @@ def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None)
     if not tol > 0.0:
         raise InvalidArgumentError(f"tol must be positive, got {tol}")
     max_cutoff = default_max_cutoff(sym.group) if max_cutoff is None else float(max_cutoff)
-    if not (math.isfinite(max_cutoff) and 1.0 <= start_cutoff <= max_cutoff):
+    if not (math.isfinite(max_cutoff) and DEFAULT_START_CUTOFF <= max_cutoff):
         raise InvalidArgumentError(
-            f"max_cutoff must be finite and at least the start cutoff {start_cutoff:g}, got {max_cutoff}"
+            f"max_cutoff must be finite and at least the start cutoff {DEFAULT_START_CUTOFF:g}, "
+            f"got {max_cutoff}"
         )
     radial = sym.radial_fn is not None
     sharp = [complex(0.0)] * len(s_values)  # S(N) at the last cutoff
@@ -243,7 +245,7 @@ def _zeta_samples(sym, s_values, tol, start_cutoff, max_cutoff, min_cutoff=None)
     cuts = []
     lo = 0.0
     active = list(range(len(s_values)))
-    for hi in _cutoffs(start_cutoff, max_cutoff):
+    for hi in _cutoffs(max_cutoff):
         s_active = [s_values[i] for i in active]
         sums = dualsum.annulus_sums(
             sym, [hi], "signed", functools.partial(_factor_rows, s_active, hi), lo=lo
@@ -286,7 +288,6 @@ def zeta_trace(
     sym: MatrixSymbol,
     s: float,
     tol: float,
-    start_cutoff: float = DEFAULT_START_CUTOFF,
     max_cutoff: float | None = None,
     min_cutoff: float | None = None,
 ) -> ZetaSample:
@@ -299,14 +300,13 @@ def zeta_trace(
     verifying the advertised bound.  See the module docstring for how a
     sample is formed.
     """
-    return _zeta_samples(sym, [s], tol, start_cutoff, max_cutoff, min_cutoff)[0]
+    return _zeta_samples(sym, [s], tol, max_cutoff, min_cutoff)[0]
 
 
 def zeta_residue(
     sym: MatrixSymbol,
     s_schedule=None,
     tol: float | None = None,
-    start_cutoff: float = DEFAULT_START_CUTOFF,
     max_cutoff: float | None = None,
 ) -> ZetaResidue:
     """Residue at the origin of the zeta trace: lim s * f(-s) for s -> 0+.
@@ -320,7 +320,7 @@ def zeta_residue(
         raise InvalidArgumentError("s schedule needs at least 3 values")
     if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])) or min(s_schedule) <= 0.0:
         raise InvalidArgumentError("s schedule must be strictly decreasing and positive")
-    samples = tuple(_zeta_samples(sym, s_schedule, tol, start_cutoff, max_cutoff))
+    samples = tuple(_zeta_samples(sym, s_schedule, tol, max_cutoff))
     tail = samples[-3:]
     gv = np.array([smp.s * smp.value for smp in tail], dtype=np.complex128)
     # g(s) = s * f(-s) against (1, s, s^2) at the three smallest s; the

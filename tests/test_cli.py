@@ -472,6 +472,68 @@ def test_threads_flag_is_a_usage_error(tmp_path):
     assert cli.main(["weakl1", "--config", cfg, "--threads", "2"]) == 64
 
 
+def test_help_exits_zero(capsys):
+    assert cli.main(["--help"]) == 0
+    assert "usage: ncres" in capsys.readouterr().out
+
+
+_RESULT_KEYS = ["config_echo", "task", "value", "error_bar"]
+
+
+@pytest.mark.parametrize(
+    "payload, code, keys",
+    [
+        (
+            {
+                "group": {"kind": "torus", "n": 1},
+                "symbol": {"family": "weight_power", "alpha": -1.0},
+                "task": "residue",
+                "schedule": {"start": 16, "factor": 2, "count": 6},
+                "cross_check": True,
+            },
+            0,
+            _RESULT_KEYS + ["per_node", "cross_check", "flags", "wall_time_ms"],
+        ),
+        (
+            {
+                "group": {"kind": "su2"},
+                "symbol": {"family": "weight_power", "alpha": -3.0},
+                "task": "sweep",
+                "schedule": {"start": 2, "factor": 2, "count": 6},
+            },
+            0,
+            _RESULT_KEYS + ["series_path", "flags", "wall_time_ms"],
+        ),
+        (
+            {
+                "group": {"kind": "torus", "n": 1},
+                "symbol": {"family": "weight_power", "alpha": -2.0},
+                "task": "weakl1",
+                "schedule": {"start": 16, "factor": 2, "count": 11},
+            },
+            2,
+            _RESULT_KEYS + ["flags", "wall_time_ms"],
+        ),
+        (
+            {
+                "group": {"kind": "torus", "n": 1},
+                "symbol": {"family": "weight_power", "alpha": -1.0},
+                "task": "zeta",
+                "zeta": {"s_schedule": [0.8, 0.4, 0.2], "tol": 1e-9, "max_cutoff": 64},
+            },
+            1,
+            _RESULT_KEYS + ["flags", "wall_time_ms"],
+        ),
+    ],
+    ids=["residue-cross-check", "sweep-series", "flagged", "numerical-failure"],
+)
+def test_report_keys_in_schema_order(tmp_path, payload, code, keys):
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    assert cli.main([payload["task"], "--config", cfg, "--out", out]) == code
+    assert list(json.loads(open(out).read())) == keys
+
+
 def test_class_poly_modulation(tmp_path, su2):
     a = cli.build_modulation(su2, {"kind": "class_poly", "coefficients": [1.0, 2.0]})
     rule = su2.haar_quadrature(4)

@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from ncresidue import (
     diag_signed_symbol,
     diagonal_symbol,
     geometric_schedule,
+    partial_sum,
     scalar_symbol,
     scale_symbol,
     sum_series,
@@ -353,6 +355,25 @@ def test_lower_bound_starts_the_first_annulus():
     # the zeta trace is the signed mode with factor rows, not a mode of its own
     with pytest.raises(InvalidArgumentError, match="unknown reduction mode"):
         dualsum.annulus_sums(sym, [4.0], "zeta", _powers(0.5))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda sym: partial_sum(sym, math.inf),
+        lambda sym: sum_series(sym, [2.0, math.nan]),
+        lambda sym: sum_series(sym, [2.0, math.inf]),
+        lambda sym: dualsum.annulus_sums(sym, [2.0], "abs", lo=math.nan),
+        lambda sym: dualsum.annulus_sums(sym, [2.0], "abs", lo=-math.inf),
+        lambda sym: sym.group.dual_elements(math.nan),
+        lambda sym: sym.group.dual_elements(math.inf),
+    ],
+    ids=["partial_sum-inf", "sum_series-nan", "sum_series-inf", "lo-nan", "lo-neg-inf", "dual-nan", "dual-inf"],
+)
+@pytest.mark.parametrize("group", [SU2(), Torus(2)], ids=str)
+def test_non_finite_cutoff_is_an_invalid_argument(call, group):
+    with pytest.raises(InvalidArgumentError):
+        call(weight_power_symbol(group, 1.0, -group.dim))
 
 
 def test_non_finite_zeta_sample_raises():
