@@ -16,8 +16,10 @@ Exit codes: 0 success (and ``--help``), 2 flagged (result present but
 unreliable), 1 numerical failure, 64 malformed configuration or usage;
 argparse prints the usage errors.  Malformed
 includes a non-finite number (NaN, Infinity), a string or boolean where a
-number belongs, a fractional count, a non-boolean ``cross_check`` and a
-schedule whose last cutoff nears float max.  A sweep whose series is too
+number belongs, a fractional count, a non-boolean ``cross_check``, a
+schedule whose last cutoff nears float max, zeta options that
+``zeta.check_options`` refuses, and a ``weakl1`` or ``residue`` schedule
+that ``weakl1.check_slope_schedule`` refuses.  A sweep whose series is too
 short for ``weakl1.estimate_slope`` still exits 0: its CSV is written, and
 its report carries value 0 and ``SHORT_SWEEP_FLAG``.
 """
@@ -168,10 +170,10 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
         start = _number(sched_spec.get("start"), "schedule.start")
         factor = _number(sched_spec.get("factor"), "schedule.factor")
         count = _number(sched_spec.get("count"), "schedule.count", integer=True)
-        min_count = 4 if task in ("weakl1", "residue") else 1
-        _require(count >= min_count, f"task {task!r} needs schedule.count >= {min_count}")
         try:
             schedule = weakl1.geometric_schedule(start, factor, count)
+            if task != "sweep":  # a sweep too short for a slope still writes its series
+                weakl1.check_slope_schedule(schedule)
         except InvalidArgumentError as exc:
             raise ConfigError(f"schedule (start, factor, count): {exc}") from None
 
@@ -192,21 +194,16 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
 
     zeta_spec = raw.get("zeta", {})
     _require(isinstance(zeta_spec, dict), "zeta options must be an object")
-    s_schedule = zeta_spec.get("s_schedule")
+    s_schedule, zeta_tol, zeta_max = (zeta_spec.get(key) for key in ("s_schedule", "tol", "max_cutoff"))
     if s_schedule is not None:
-        _require(
-            isinstance(s_schedule, list) and len(s_schedule) >= 3,
-            "zeta.s_schedule needs at least 3 values",
-        )
+        _require(isinstance(s_schedule, list), "zeta.s_schedule must be a list")
         s_schedule = [_number(v, "zeta.s_schedule") for v in s_schedule]
-    zeta_tol = zeta_spec.get("tol")
-    if zeta_tol is not None:
-        zeta_tol = _number(zeta_tol, "zeta.tol")
-        _require(zeta_tol > 0.0, "zeta.tol must be positive")
-    zeta_max = zeta_spec.get("max_cutoff")
-    if zeta_max is not None:
-        zeta_max = _number(zeta_max, "zeta.max_cutoff")
-        _require(zeta_max >= 1.0, "zeta.max_cutoff must be >= 1")
+    zeta_tol = None if zeta_tol is None else _number(zeta_tol, "zeta.tol")
+    zeta_max = None if zeta_max is None else _number(zeta_max, "zeta.max_cutoff")
+    try:
+        zeta.check_options(s_schedule, zeta_tol, zeta_max)
+    except InvalidArgumentError as exc:
+        raise ConfigError(f"zeta options (s_schedule, tol, max_cutoff): {exc}") from None
 
     cross_check = raw.get("cross_check", False)
     _require(isinstance(cross_check, bool), f"cross_check must be true or false, got {cross_check!r}")
@@ -405,26 +402,17 @@ def run_task(config: RunConfig, out_path: Optional[str] = None, verbose: bool = 
     else:
         document.update(value=_complex_dict(value), error_bar=float(error))
         if series is not None and (config.task == "sweep" or config.series_path):
-            document["series_path"] = config.series_path or _derive_series_path(report_path)
+            document["series_path"] = config.series_path or os.path.splitext(report_path)[0] + "_series.csv"
             write_series_csv(document["series_path"], series)
         document.update(extra, flags=flags)
         status = 2 if set(flags) - {SHORT_SWEEP_FLAG} else 0
         message = f"report written to {report_path}"
     document["wall_time_ms"] = 1000.0 * (time.perf_counter() - t0)
-    _write_report(report_path, document)
+    with open(report_path, "w") as fh:
+        fh.write(render_json(document) + "\n")
     if verbose:
         print(message, file=sys.stderr)
     return status
-
-
-def _derive_series_path(report_path: str) -> str:
-    base, _ = os.path.splitext(report_path)
-    return base + "_series.csv"
-
-
-def _write_report(path: str, document: dict) -> None:
-    with open(path, "w") as fh:
-        fh.write(render_json(document) + "\n")
 
 
 def threads_from_environment() -> int:

@@ -147,7 +147,8 @@ class GroupModel:
         """Canonically ordered chunks covering the annulus lo < weight <= hi.
 
         A chunk holds at most ``_CHUNK_ENTRIES`` diagonal entries unless it
-        is a single class; its boundaries depend on (lo, hi) only.
+        is a single class; its boundaries depend on (lo, hi) only.  A bound
+        that is not finite raises InvalidArgumentError.
         """
         raise NotImplementedError
 
@@ -157,7 +158,8 @@ class GroupModel:
         Weights are the distinct elliptic weights of the annulus in
         increasing order, float64; multiplicities are the exact int64 sums of
         d^2 over the classes of each weight.  Blocks hold at most
-        ``_SHELL_BLOCK`` shells and their boundaries depend on (lo, hi) only.
+        ``_SHELL_BLOCK`` shells and their boundaries depend on (lo, hi) only;
+        bounds as in ``dual_chunks``.
         """
         raise NotImplementedError
 
@@ -189,6 +191,12 @@ class GroupModel:
 
     def __repr__(self):
         return self.name
+
+
+def _check_bounds(lo: float, hi: float) -> None:
+    """Refuse an annulus (lo, hi] whose bounds are not both finite."""
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise InvalidArgumentError(f"annulus bounds must be finite, got ({lo}, {hi}]")
 
 
 def _int_floor(x: float) -> int:
@@ -272,6 +280,7 @@ class Torus(GroupModel):
         return sphere_surface(n) * w ** (n - 1) * (1.0 - w**-2.0) ** (n / 2.0 - 1.0)
 
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
+        _check_bounds(lo, hi)
         qlo = lo * lo  # exclusive bound on q = 1 + |xi|^2
         qhi = hi * hi  # inclusive bound
         r2max = _int_floor(qhi) - 1
@@ -328,6 +337,7 @@ class Torus(GroupModel):
             yield self._make_chunk(labels[:count], q[:count])
 
     def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        _check_bounds(lo, hi)
         # Laplace eigenvalues k with lo^2 < 1 + k <= hi^2, the exact integer
         # test of dual_chunks.
         kmin = _int_floor(lo * lo)
@@ -401,6 +411,7 @@ class SU2(GroupModel):
         return w * w
 
     def dual_chunks(self, lo: float, hi: float) -> Iterator[DualChunk]:
+        _check_bounds(lo, hi)
         # levels ell with lo < ell + 1 <= hi, one class each; levels
         # start..stop-1 hold (stop(stop+1) - start(start+1))/2 entries, and
         # each chunk takes the most levels within _CHUNK_ENTRIES, at least one
@@ -421,6 +432,7 @@ class SU2(GroupModel):
             )
 
     def radial_shells(self, lo: float, hi: float) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+        _check_bounds(lo, hi)
         # one shell per level, as in dual_chunks
         stop = max(_int_floor(hi), 0)
         for start in range(max(_int_floor(lo), 0), stop, _SHELL_BLOCK):

@@ -5,7 +5,8 @@ class dimension.  Symbols carry a structure tag -- ``scalar`` (a multiple of
 the identity, given by a radial profile of the elliptic weight),
 ``diagonal`` (a per-class diagonal vector), or ``dense`` -- and a declared
 decay envelope ``||sigma(xi)||_op <= constant * weight**order``.  Envelopes
-are trusted but spot-checked on a prefix of the dual at construction time.
+are trusted but spot-checked on the lowest-weight annuli of the dual at
+construction time.
 
 Symbols are evaluators, not tables: the dual is unbounded, so values are
 computed on demand.  Evaluators must be pure, which keeps every reduction
@@ -22,16 +23,21 @@ within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  A dense class
 with a non-finite entry gives NaN entries in ``abs`` and ``four``, so a
 dual sum over it raises NumericalFailureError there, as in ``signed``
 when the entry is on the diagonal (the trace ignores the others).  The
-envelope spot check reads the operator norm of a class as the largest
-modulus of its ``abs`` entries, and refuses a norm that is not within the
-envelope, NaN included, with InvalidArgumentError naming the class.
+envelope spot check walks the annuli (0, 4], (4, 8], ... until it has seen
+SPOT_CHECK_CLASSES classes (100 for dense symbols) or reached weight 1024
+(32 for dense symbols).  It reads the operator norm of a class as the
+largest modulus of its ``abs`` entries, and refuses a norm that is not
+within the envelope, NaN included, with InvalidArgumentError naming the
+class.
 
 Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
 ``DualChunk`` to the diagonals of the chunk's classes concatenated in chunk
 order (length sum of d), so a dual sum evaluates them one chunk at a time.
 ``diagonal_symbol`` keeps a per-class ``diag(xi)`` signature and wraps it in
-a loop over the chunk's classes; ``diag_signed_symbol``, ``scalar_symbol``,
-``scale_symbol`` and ``add_symbols`` build vectorised chunk evaluators.
+a loop over the chunk's classes; ``diag_signed_symbol`` and ``scalar_symbol``
+build vectorised chunk evaluators.  Pointwise combinations (``add_symbols``,
+``scale_symbol``, ``combine_fields``) are built by one constructor, which keeps
+the scalar or diagonal structure when every term has it.
 ``MatrixSymbol.diagonal`` evaluates the one-class chunk of a class, and
 ``evaluate`` is its diagonal matrix.
 
@@ -154,47 +160,39 @@ def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
     return re + 1j * im
 
 
+def check_degree(degree: float, expected: float, what: str) -> None:
+    """Refuse ``what``, of degree or order ``degree``, unless it is ``expected`` up to rounding."""
+    if abs(degree - expected) > _DEGREE_TOL:
+        raise InvalidArgumentError(f"{what} {degree} is not the expected {expected}")
+
+
 def check_critical_order(group: GroupModel, order: float, what: str) -> None:
     """Refuse ``what``, of degree or order ``order``, unless that is -n on the n-dimensional group."""
-    if abs(order + group.dim) > _DEGREE_TOL:
-        raise InvalidArgumentError(f"{what} {order} is not the critical order {-group.dim}")
+    check_degree(order, -group.dim, f"{what} (critical order)")
 
 
-def _spot_cutoff(group: GroupModel, max_classes: int) -> float:
-    cutoff = 4.0
-    while True:
-        count = 0
-        for chunk in group.dual_chunks(0.0, cutoff):
-            count += len(chunk)
-        if count >= max_classes or cutoff >= 1024.0:
-            return cutoff
-        cutoff *= 2.0
-
-
-def _check_envelope(sym: MatrixSymbol) -> None:
-    limit = SPOT_CHECK_CLASSES if sym.structure != "dense" else _SPOT_CHECK_DENSE_CLASSES
-    cap = 1024.0 if sym.structure != "dense" else 32.0
-    cutoff = min(_spot_cutoff(sym.group, limit), cap)
-    seen = 0
-    for chunk in sym.group.dual_chunks(0.0, cutoff):
-        k = min(len(chunk), limit - seen)
-        part = DualChunk(sym.group, chunk.labels[:k], chunk.dims[:k], chunk.weights[:k], chunk.eigenvalues[:k])
-        if sym.structure == "scalar":
-            norms = np.abs(sym.radial_profile(part.weights))
-        else:  # the largest |diagonal entry| or singular value of each class
-            dims = part.dims.astype(np.int64)
-            norms = np.maximum.reduceat(np.abs(sym.chunk_spectra(part, "abs")), np.cumsum(dims) - dims)
-        bounds = sym.envelope.bound(part.weights)
-        bad = ~(norms <= bounds * (1.0 + 1e-9) + 1e-300)  # NaN norms are refused too
-        if bad.any():
-            i = int(np.argmax(bad))
-            raise InvalidArgumentError(
-                f"decay envelope violated at {part.elements()[i].label} (weight {part.weights[i]:g}): "
-                f"|sigma| = {norms[i]:g} > {bounds[i]:g}"
-            )
-        seen += k
-        if seen >= limit:
-            return
+def _check_envelope(sym: MatrixSymbol) -> MatrixSymbol:
+    """``sym`` if its envelope holds on the lowest-weight annuli, else InvalidArgumentError."""
+    dense = sym.structure == "dense"
+    limit, cap = (_SPOT_CHECK_DENSE_CLASSES, 32.0) if dense else (SPOT_CHECK_CLASSES, 1024.0)
+    seen, lo = 0, 0.0
+    while seen < limit and lo < cap:
+        hi = max(4.0, 2.0 * lo)
+        for chunk in sym.group.dual_chunks(lo, hi):
+            # the largest |diagonal entry| or singular value of each class
+            dims = chunk.dims.astype(np.int64)
+            norms = np.maximum.reduceat(np.abs(sym.chunk_spectra(chunk, "abs")), np.cumsum(dims) - dims)
+            bounds = sym.envelope.bound(chunk.weights)
+            bad = ~(norms <= bounds * (1.0 + 1e-9) + 1e-300)  # NaN norms are refused too
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise InvalidArgumentError(
+                    f"decay envelope violated at {chunk.elements()[i].label} (weight {chunk.weights[i]:g}): "
+                    f"|sigma| = {norms[i]:g} > {bounds[i]:g}"
+                )
+            seen += len(chunk)
+        lo = hi
+    return sym
 
 
 def scalar_symbol(
@@ -214,9 +212,7 @@ def scalar_symbol(
         return np.repeat(values, chunk.dims.astype(np.int64))
 
     sym = MatrixSymbol(group, "scalar", envelope, None, radial_fn=profile, diag_fn=diag_fn)
-    if check:
-        _check_envelope(sym)
-    return sym
+    return _check_envelope(sym) if check else sym
 
 
 def weight_power_symbol(group: GroupModel, coeff: complex, alpha: float) -> MatrixSymbol:
@@ -227,18 +223,6 @@ def weight_power_symbol(group: GroupModel, coeff: complex, alpha: float) -> Matr
         return coeff * w**alpha
 
     return scalar_symbol(group, profile, DecayEnvelope(abs(coeff), alpha), check=False)
-
-
-def _diagonal(
-    group: GroupModel,
-    diag_fn: Callable[[DualChunk], np.ndarray],
-    envelope: DecayEnvelope,
-    check: bool = False,
-) -> MatrixSymbol:
-    sym = MatrixSymbol(group, "diagonal", envelope, None, diag_fn=diag_fn)
-    if check:
-        _check_envelope(sym)
-    return sym
 
 
 def diagonal_symbol(
@@ -264,7 +248,8 @@ def diagonal_symbol(
             parts.append(vec)
         return np.concatenate(parts)
 
-    return _diagonal(group, diag_fn, envelope, check)
+    sym = MatrixSymbol(group, "diagonal", envelope, None, diag_fn=diag_fn)
+    return _check_envelope(sym) if check else sym
 
 
 def diag_signed_symbol(group: GroupModel, alpha: float) -> MatrixSymbol:
@@ -280,7 +265,7 @@ def diag_signed_symbol(group: GroupModel, alpha: float) -> MatrixSymbol:
         out.real[1::2] *= -1.0
         return out
 
-    return _diagonal(group, diag_fn, DecayEnvelope(1.0, alpha))
+    return MatrixSymbol(group, "diagonal", DecayEnvelope(1.0, alpha), None, diag_fn=diag_fn)
 
 
 def dense_symbol(
@@ -290,9 +275,7 @@ def dense_symbol(
     check: bool = True,
 ) -> MatrixSymbol:
     sym = MatrixSymbol(group, "dense", envelope, evaluator)
-    if check:
-        _check_envelope(sym)
-    return sym
+    return _check_envelope(sym) if check else sym
 
 
 def zero_symbol(group: GroupModel, order: float) -> MatrixSymbol:
@@ -301,37 +284,43 @@ def zero_symbol(group: GroupModel, order: float) -> MatrixSymbol:
     )
 
 
+def _combine(coeffs, syms) -> MatrixSymbol:
+    """Pointwise sum of c_k * sym_k over one group; envelopes combine by the triangle inequality.
+
+    The sum is scalar if every term is, diagonal if every term has a
+    diagonal evaluator, and dense otherwise.
+    """
+    coeffs = [complex(c) for c in coeffs]
+    group = syms[0].group
+    for sym in syms[1:]:
+        if sym.group != group:
+            raise InvalidArgumentError(f"cannot combine symbols on different groups ({group} vs {sym.group})")
+    env = DecayEnvelope(
+        sum(abs(c) * sym.envelope.constant for c, sym in zip(coeffs, syms)),
+        max(sym.envelope.order for sym in syms),
+    )
+
+    def combined(fns):
+        def fn(arg):
+            terms = [c * np.asarray(f(arg)) for c, f in zip(coeffs, fns)]
+            return sum(terms[1:], terms[0])
+
+        return fn
+
+    if all(sym.radial_fn is not None for sym in syms):
+        return scalar_symbol(group, combined([sym.radial_fn for sym in syms]), env, check=False)
+    if all(sym.diag_fn is not None for sym in syms):
+        return MatrixSymbol(group, "diagonal", env, None, diag_fn=combined([sym.diag_fn for sym in syms]))
+    return MatrixSymbol(group, "dense", env, combined([sym.evaluate for sym in syms]))
+
+
 def add_symbols(a: MatrixSymbol, b: MatrixSymbol) -> MatrixSymbol:
     """Pointwise sum; envelopes combine by the triangle inequality."""
-    if a.group != b.group:
-        raise InvalidArgumentError(
-            f"cannot add symbols on different groups ({a.group} vs {b.group})"
-        )
-    env = DecayEnvelope(
-        a.envelope.constant + b.envelope.constant,
-        max(a.envelope.order, b.envelope.order),
-    )
-    if a.radial_fn is not None and b.radial_fn is not None:
-        fa, fb = a.radial_fn, b.radial_fn
-        return scalar_symbol(a.group, lambda w: np.asarray(fa(w)) + np.asarray(fb(w)), env, check=False)
-    if a.diag_fn is not None and b.diag_fn is not None:
-        da, db = a.diag_fn, b.diag_fn
-        return _diagonal(a.group, lambda chunk: np.asarray(da(chunk)) + np.asarray(db(chunk)), env)
-    ea, eb = a.evaluate, b.evaluate
-    return dense_symbol(a.group, lambda xi: ea(xi) + eb(xi), env, check=False)
+    return _combine((1.0, 1.0), (a, b))
 
 
 def scale_symbol(c: complex, a: MatrixSymbol) -> MatrixSymbol:
-    c = complex(c)
-    env = DecayEnvelope(abs(c) * a.envelope.constant, a.envelope.order)
-    if a.radial_fn is not None:
-        fa = a.radial_fn
-        return scalar_symbol(a.group, lambda w: c * np.asarray(fa(w)), env, check=False)
-    if a.diag_fn is not None:
-        da = a.diag_fn
-        return _diagonal(a.group, lambda chunk: c * np.asarray(da(chunk)), env)
-    ea = a.evaluate
-    return dense_symbol(a.group, lambda xi: c * ea(xi), env, check=False)
+    return _combine((c,), (a,))
 
 
 @dataclass(frozen=True, eq=False)
@@ -356,22 +345,13 @@ class SymbolField:
             raise InvalidArgumentError("one symbol per quadrature node is required")
         if self.scaled is not None:
             base, factors = self.scaled
-            if (
-                len(factors) != len(self.node_symbols)
-                or base.group != self.node_symbols[0].group
-                or abs(base.envelope.order - self.degree) > _DEGREE_TOL
-            ):
-                raise InvalidArgumentError(
-                    "scaled needs a base of the field's group and degree and one factor per node"
-                )
-        group = self.node_symbols[0].group
+            if len(factors) != len(self.node_symbols) or base.group != self.group:
+                raise InvalidArgumentError("scaled needs a base of the field's group and one factor per node")
+            check_degree(base.envelope.order, self.degree, "scaled base order")
         for sym in self.node_symbols:
-            if sym.group != group:
+            if sym.group != self.group:
                 raise InvalidArgumentError("all node symbols must share one group")
-            if abs(sym.envelope.order - self.degree) > _DEGREE_TOL:
-                raise InvalidArgumentError(
-                    f"node symbol order {sym.envelope.order} differs from field degree {self.degree}"
-                )
+            check_degree(sym.envelope.order, self.degree, "node symbol order")
 
     @property
     def group(self) -> GroupModel:
@@ -399,18 +379,13 @@ def modulated_field(
     When every sampled a(x_j) is real and they are not all equal, the field
     records ``scaled = (sym, (a(x_0), a(x_1), ...))``.
     """
-    if abs(sym.envelope.order - degree) > _DEGREE_TOL:
-        raise InvalidArgumentError(
-            f"symbol order {sym.envelope.order} does not match the field degree {degree}"
-        )
+    check_degree(sym.envelope.order, degree, "symbol order")
     values = [complex(a(node)) for node in quadrature.nodes]
     if all(v == values[0] for v in values):
         shared = scale_symbol(values[0], sym)
         return SymbolField(quadrature, (shared,) * len(values), degree, invariant=True)
     nodes = tuple(scale_symbol(v, sym) for v in values)
-    scaled = None
-    if all(v.imag == 0.0 for v in values):
-        scaled = (sym, tuple(v.real for v in values))
+    scaled = (sym, tuple(v.real for v in values)) if all(v.imag == 0.0 for v in values) else None
     return SymbolField(quadrature, nodes, degree, invariant=False, scaled=scaled)
 
 
@@ -418,26 +393,17 @@ def combine_fields(coeffs, fields) -> SymbolField:
     """Nodewise linear combination of fields on one quadrature rule."""
     if not fields:
         raise InvalidArgumentError("need at least one field")
-    quad = fields[0].quadrature
+    quad, degree = fields[0].quadrature, fields[0].degree
     for f in fields[1:]:
         if f.quadrature is not quad:
             raise InvalidArgumentError("fields must share the same quadrature rule")
-    degree = fields[0].degree
-    for f in fields[1:]:
-        if abs(f.degree - degree) > _DEGREE_TOL:
-            raise InvalidArgumentError("fields must share one degree")
+        check_degree(f.degree, degree, "field degree")
     n = quad.nodes.shape[0]
-    nodes = []
-    for j in range(n):
-        acc = scale_symbol(coeffs[0], fields[0].node_symbols[j])
-        for c, f in zip(coeffs[1:], fields[1:]):
-            acc = add_symbols(acc, scale_symbol(c, f.node_symbols[j]))
-        nodes.append(acc)
-    invariant = all(f.invariant for f in fields)
-    if invariant:
-        shared = nodes[0]
+    if all(f.invariant for f in fields):
+        shared = _combine(coeffs, [f.node_symbols[0] for f in fields])
         return SymbolField(quad, (shared,) * n, degree, invariant=True)
-    return SymbolField(quad, tuple(nodes), degree, invariant=False)
+    nodes = tuple(_combine(coeffs, [f.node_symbols[j] for f in fields]) for j in range(n))
+    return SymbolField(quad, nodes, degree, invariant=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -450,14 +416,8 @@ class Expansion:
 
     def __post_init__(self):
         for k, (degree, field) in enumerate(self.components):
-            if abs(degree - (self.order - k)) > _DEGREE_TOL:
-                raise InvalidArgumentError(
-                    f"component {k} has degree {degree}, expected {self.order - k}"
-                )
-            if abs(field.degree - degree) > _DEGREE_TOL:
-                raise InvalidArgumentError(
-                    f"component {k} field degree {field.degree} != declared {degree}"
-                )
+            check_degree(degree, self.order - k, f"component {k} degree")
+            check_degree(field.degree, degree, f"component {k} field degree")
             if field.group != self.group:
                 raise InvalidArgumentError("component group mismatch")
 

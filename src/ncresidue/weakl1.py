@@ -47,6 +47,19 @@ def geometric_schedule(start: float = 16.0, factor: float = 2.0, count: int = 11
     return [start * factor**k for k in range(count)]
 
 
+def check_slope_schedule(cutoffs) -> np.ndarray:
+    """log N of a cutoff schedule the slope fit accepts: at least 4 cutoffs over two octaves.
+
+    Any other schedule raises InvalidArgumentError.
+    """
+    logs = np.log(np.asarray(cutoffs, dtype=np.float64))
+    if len(logs) < 4:
+        raise InvalidArgumentError("slope estimation needs at least 4 series entries")
+    if logs[-1] - logs[0] < 2.0 * np.log(2.0) - 1e-9:
+        raise InvalidArgumentError("series must span at least two octaves of N")
+    return logs
+
+
 def _check_nondecreasing(values) -> None:
     """Refuse absolute-trace series, rows along the last axis, that decrease beyond rounding."""
     diffs = np.diff(np.real(values), prepend=0.0, axis=-1)
@@ -136,12 +149,8 @@ def _estimate_slopes(cutoffs, rows) -> list:
     bar is not finite raises NumericalFailureError.
     """
     rows = np.asarray(rows, dtype=np.float64)
-    logs = np.log(np.asarray(cutoffs, dtype=np.float64))
+    logs = check_slope_schedule(cutoffs)
     k = rows.shape[-1]
-    if k < 4:
-        raise InvalidArgumentError("slope estimation needs at least 4 series entries")
-    if logs[-1] - logs[0] < 2.0 * np.log(2.0) - 1e-9:
-        raise InvalidArgumentError("series must span at least two octaves of N")
     window = max(4, (k + 1) // 2)
     first = k - window
     span = logs[-1] - logs[first]

@@ -120,6 +120,27 @@ class ZetaResidue:
     flags: tuple = ()
 
 
+def check_options(s_values, tol, max_cutoff, min_count: int = 3) -> None:
+    """Refuse zeta options; None stands for the default and passes.
+
+    The s values must be at least ``min_count`` (zeta_trace samples one),
+    strictly decreasing and positive, tol positive, and max_cutoff finite
+    and at least DEFAULT_START_CUTOFF.
+    """
+    if s_values is not None:
+        if len(s_values) < min_count:
+            raise InvalidArgumentError(f"s schedule needs at least {min_count} values, got {s_values}")
+        if any(b >= a for a, b in zip(s_values, s_values[1:])) or not all(v > 0.0 for v in s_values):
+            raise InvalidArgumentError(f"s schedule must be strictly decreasing and positive, got {s_values}")
+    if tol is not None and not tol > 0.0:
+        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    if max_cutoff is not None and not (math.isfinite(max_cutoff) and DEFAULT_START_CUTOFF <= max_cutoff):
+        raise InvalidArgumentError(
+            f"max_cutoff must be finite and at least the start cutoff {DEFAULT_START_CUTOFF:g}, "
+            f"got {max_cutoff}"
+        )
+
+
 def _cutoffs(max_cutoff: float):
     """DEFAULT_START_CUTOFF, twice that, ... up to max_cutoff, rounded down to this grid."""
     hi = DEFAULT_START_CUTOFF
@@ -228,16 +249,8 @@ def _zeta_samples(sym, s_values, tol, max_cutoff, min_cutoff=None) -> list:
     """
     check_critical_order(sym.group, sym.envelope.order, "zeta path: envelope order")
     s_values = [float(v) for v in s_values]
-    if not all(v > 0.0 for v in s_values):
-        raise InvalidArgumentError(f"s must be positive, got {s_values}")
-    if not tol > 0.0:
-        raise InvalidArgumentError(f"tol must be positive, got {tol}")
+    check_options(s_values, tol, max_cutoff, min_count=1)
     max_cutoff = default_max_cutoff(sym.group) if max_cutoff is None else float(max_cutoff)
-    if not (math.isfinite(max_cutoff) and DEFAULT_START_CUTOFF <= max_cutoff):
-        raise InvalidArgumentError(
-            f"max_cutoff must be finite and at least the start cutoff {DEFAULT_START_CUTOFF:g}, "
-            f"got {max_cutoff}"
-        )
     radial = sym.radial_fn is not None
     sharp = [complex(0.0)] * len(s_values)  # S(N) at the last cutoff
     smoothed = [[] for _ in s_values]  # S_psi(N) at the trailing cutoffs
@@ -316,10 +329,7 @@ def zeta_residue(
     """
     s_schedule = [float(v) for v in (DEFAULT_S_SCHEDULE if s_schedule is None else s_schedule)]
     tol = DEFAULT_TOLERANCE if tol is None else tol
-    if len(s_schedule) < 3:
-        raise InvalidArgumentError("s schedule needs at least 3 values")
-    if any(b >= a for a, b in zip(s_schedule, s_schedule[1:])) or min(s_schedule) <= 0.0:
-        raise InvalidArgumentError("s schedule must be strictly decreasing and positive")
+    check_options(s_schedule, tol, max_cutoff)
     samples = tuple(_zeta_samples(sym, s_schedule, tol, max_cutoff))
     tail = samples[-3:]
     gv = np.array([smp.s * smp.value for smp in tail], dtype=np.complex128)

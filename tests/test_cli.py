@@ -274,6 +274,38 @@ def test_malformed_config_value_is_a_config_error(tmp_path, capsys, base, path, 
     assert path[-1] in capsys.readouterr().err
 
 
+NARROW_SCHEDULE = {"start": 16, "factor": 1.1, "count": 5}  # five cutoffs within one octave
+
+
+@pytest.mark.parametrize(
+    "base, key, value",
+    [
+        (SU2_DIAG_SIGNED_ZETA, "zeta", {"max_cutoff": 8}),
+        (SU2_DIAG_SIGNED_ZETA, "zeta", {"s_schedule": [0.2, 0.2, 0.1]}),
+        (SU2_DIAG_SIGNED_ZETA, "zeta", {"s_schedule": [0.2, 0.1, 0.0]}),
+        (SU2_DIAG_SIGNED_ZETA, "zeta", {"s_schedule": [0.3, 0.2]}),
+        (SU2_WEAKL1, "schedule", NARROW_SCHEDULE),
+        (TORUS_RESIDUE, "schedule", NARROW_SCHEDULE),
+    ],
+    ids=[
+        "max_cutoff-below-start",
+        "s_schedule-not-decreasing",
+        "s_schedule-not-positive",
+        "s_schedule-short",
+        "weakl1-narrow-schedule",
+        "residue-narrow-schedule",
+    ],
+)
+def test_config_the_computation_refuses_is_a_config_error(tmp_path, capsys, base, key, value):
+    # refused while the config is read, before any sum runs and before a report is written
+    payload = dict(base, **{key: value})
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = tmp_path / "r.json"
+    assert cli.main([payload["task"], "--config", cfg, "--out", str(out)]) == 64
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_residue_with_cross_check(tmp_path):
     payload = {
         "group": {"kind": "su2"},

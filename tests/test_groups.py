@@ -88,6 +88,14 @@ def test_torus_dimension_validation():
         Torus(4)
 
 
+@pytest.mark.parametrize("group", [Torus(1), Torus(2), Torus(3), SU2()], ids=str)
+@pytest.mark.parametrize("method", ["dual_chunks", "radial_shells"])
+@pytest.mark.parametrize("lo, hi", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 4.0)])
+def test_non_finite_annulus_bound_is_invalid_argument(group, method, lo, hi):
+    with pytest.raises(InvalidArgumentError, match="annulus bounds must be finite"):
+        next(getattr(group, method)(lo, hi))
+
+
 @given(n1=st.floats(1.0, 20.0), n2=st.floats(1.0, 20.0))
 def test_prefix_consistency_torus2(n1, n2):
     t2 = Torus(2)

@@ -6,7 +6,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from ncresidue import (
+    SU2,
     DecayEnvelope,
+    Torus,
     Expansion,
     add_symbols,
     dense_symbol,
@@ -175,6 +177,23 @@ def test_envelope_spot_check_refuses_nan(su2):
         diagonal_symbol(su2, lambda xi: np.full(xi.dim, np.nan, dtype=complex), envelope)
     with pytest.raises(InvalidArgumentError, match=nan_class):
         dense_symbol(su2, lambda xi: np.full((xi.dim, xi.dim), np.nan, dtype=complex), envelope)
+
+
+@pytest.mark.parametrize("structure", ["diagonal", "dense"])
+@pytest.mark.parametrize("group", [Torus(1), Torus(2), Torus(3), SU2()], ids=str)
+def test_envelope_spot_check_reaches_the_trivial_class(group, structure):
+    # within the envelope <xi>^-n everywhere except at xi = 0, where it is 100 times over;
+    # the lowest-weight annulus holds the trivial class on every group
+    def diag(xi):
+        return np.full(xi.dim, 100.0 if xi.weight == 1.0 else xi.weight**-group.dim, dtype=complex)
+
+    envelope = DecayEnvelope(1.0, -group.dim)
+    trivial = r"\(weight 1\): \|sigma\| = 100 > 1$"
+    with pytest.raises(InvalidArgumentError, match=trivial):
+        if structure == "diagonal":
+            diagonal_symbol(group, diag, envelope)
+        else:
+            dense_symbol(group, lambda xi: np.diag(diag(xi)), envelope)
 
 
 def test_chunk_spectra_of_dense_and_diagonal_classes(su2):
