@@ -8,7 +8,8 @@ vol(S^(n-1)) (torus) and 1 (SU(2)).  The zeta residue is computed twice:
 from the scalar symbol (smoothed sums plus the integrated radial tail) and,
 except on T^3, from the same symbol in diagonal form (smoothed sums solved
 for their N^-s, N^(-s-1) and N^(-s-2) terms).  Each row prints every
-relative error.  Exits 1 if a slope misses its analytic value by more than
+relative error, and for each route its error bar as a multiple of its
+absolute error (bar/err; an honest bar reads at least 1).  Exits 1 if a slope misses its analytic value by more than
 the acceptance tolerance (0.5% on T^1, 1% on T^2, 2% on T^3, 1% on SU(2))
 or a zeta residue misses it by more than its own error bar.
 """
@@ -33,6 +34,10 @@ from ncresidue import (
     weight_power_symbol,
     zeta_residue,
 )
+
+
+def _bar_over_err(bar, err):
+    return bar / err if err else math.inf
 
 
 def _torus_diagonal(n):
@@ -61,9 +66,9 @@ def main():
     args = parser.parse_args()
 
     header = (
-        f"{'group':>6} {'slope':>12} {'bar':>10} {'rel err':>9} "
-        f"{'zeta':>12} {'zeta bar':>10} {'rel err':>9} "
-        f"{'diag zeta':>12} {'diag bar':>10} {'rel err':>9} {'analytic':>12} {'secs':>7}"
+        f"{'group':>6} {'slope':>12} {'bar':>10} {'rel err':>9} {'bar/err':>8} "
+        f"{'zeta':>12} {'zeta bar':>10} {'rel err':>9} {'bar/err':>8} "
+        f"{'diag zeta':>12} {'diag bar':>10} {'rel err':>9} {'bar/err':>8} {'analytic':>12} {'secs':>7}"
     )
     print(header)
     print("-" * len(header))
@@ -82,11 +87,12 @@ def main():
                 zv, zb, zerr = zr.value.real, zr.error_bar, abs(zr.value - analytic)
                 if not zerr <= zb:
                     missed.append(label)
-            zeta_cols += f" {zv:12.6f} {zb:10.2e} {zerr / analytic:9.2e}"
+            zeta_cols += f" {zv:12.6f} {zb:10.2e} {zerr / analytic:9.2e} {_bar_over_err(zb, zerr):8.4g}"
         dt = time.perf_counter() - t0
+        err = abs(est.value - analytic)
         print(
-            f"{name:>6} {est.value:12.6f} {est.error_bar:10.2e} {abs(est.value - analytic) / analytic:9.2e}"
-            f"{zeta_cols} {analytic:12.6f} {dt:7.2f}"
+            f"{name:>6} {est.value:12.6f} {est.error_bar:10.2e} {err / analytic:9.2e}"
+            f" {_bar_over_err(est.error_bar, err):8.4g}{zeta_cols} {analytic:12.6f} {dt:7.2f}"
         )
     if missed:
         print(f"outside its tolerance: {', '.join(missed)}", file=sys.stderr)

@@ -21,20 +21,9 @@ from .groups import (
     QuadratureRule,
     Torus,
     enumerate_dual,
-    haar_quadrature,
     sphere_surface,
     su2_character,
     su2_class_cosine,
-)
-from .matcalc import (
-    HermEig,
-    abs_part,
-    hermitian_eig,
-    hermitian_eigenvalues,
-    imag_part,
-    neg_part,
-    pos_part,
-    real_part,
 )
 from .residue import (
     CrossCheck,

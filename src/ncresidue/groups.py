@@ -148,7 +148,7 @@ class GroupModel:
 
         A chunk holds at most ``_CHUNK_ENTRIES`` diagonal entries unless it
         is a single class; its boundaries depend on (lo, hi) only.  A bound
-        that is not finite raises InvalidArgumentError.
+        whose square is not finite raises InvalidArgumentError.
         """
         raise NotImplementedError
 
@@ -172,15 +172,8 @@ class GroupModel:
         """
         raise NotImplementedError
 
-    def dual_elements(self, cutoff: float) -> list[DualElement]:
-        if not 1.0 <= cutoff < math.inf:
-            raise InvalidArgumentError(f"dual cutoff must be finite and >= 1, got {cutoff}")
-        out: list[DualElement] = []
-        for chunk in self.dual_chunks(0.0, cutoff):
-            out.extend(chunk.elements())
-        return out
-
     def haar_quadrature(self, resolution: int) -> QuadratureRule:
+        """Quadrature rule for the normalized Haar measure of the group."""
         raise NotImplementedError
 
     def __eq__(self, other):
@@ -194,9 +187,13 @@ class GroupModel:
 
 
 def _check_bounds(lo: float, hi: float) -> None:
-    """Refuse an annulus (lo, hi] whose bounds are not both finite."""
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise InvalidArgumentError(f"annulus bounds must be finite, got ({lo}, {hi}]")
+    """Refuse an annulus (lo, hi] with a bound whose square is not finite.
+
+    Every generator squares its bounds for the exact integer membership
+    test, so a finite bound beyond about 1.3e154 would overflow there.
+    """
+    if not (math.isfinite(lo * lo) and math.isfinite(hi * hi)):
+        raise InvalidArgumentError(f"annulus bounds must be finite, and so must their squares, got ({lo}, {hi}]")
 
 
 def _int_floor(x: float) -> int:
@@ -460,12 +457,9 @@ class SU2(GroupModel):
 
 def enumerate_dual(group: GroupModel, cutoff: float) -> list[DualElement]:
     """All dual classes with elliptic weight <= cutoff, in canonical order."""
-    return group.dual_elements(cutoff)
-
-
-def haar_quadrature(group: GroupModel, resolution: int) -> QuadratureRule:
-    """Quadrature rule for the normalized Haar measure of the group."""
-    return group.haar_quadrature(resolution)
+    if not 1.0 <= cutoff < math.inf:
+        raise InvalidArgumentError(f"dual cutoff must be finite and >= 1, got {cutoff}")
+    return [xi for chunk in group.dual_chunks(0.0, cutoff) for xi in chunk.elements()]
 
 
 def su2_class_cosine(node) -> float:

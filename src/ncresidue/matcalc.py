@@ -8,14 +8,14 @@ for stacks Hermitian by construction -- before one LAPACK call, so several
 matrices of one dimension take one call.  A LAPACK convergence
 failure surfaces as NumericalFailureError.
 
-On top of the eigensolver sit the decompositions used throughout:
-Re(T) = (T + T*)/2, Im(T) = (T - T*)/(2i), and for Hermitian H the spectral
-parts H+ = (H + |H|)/2, H- = (|H| - H)/2.  One zero rule, ``drop_small``,
-counts eigenvalues and singular values with modulus at most 1e-12 times the
-2-norm of their row (||H||_F) as zero: spectral mass at the origin lands in
-neither signed part (but also not in |H|, keeping H+ + H- = |H|), in the
-trace norm Tr|T| (the sum of the singular values) or in the eigenvalues of
-Re T and Im T (``part_eigenvalues``).
+The pipeline needs two spectra per dense class: the singular values of T
+(``singular_values``) and the eigenvalues of Re(T) = (T + T*)/2 and
+Im(T) = (T - T*)/(2i) (``part_eigenvalues``).  One zero rule,
+``drop_small``, counts eigenvalues and singular values with modulus at
+most 1e-12 times the 2-norm of their row (the Frobenius norm of the matrix
+they come from) as zero, so spectral mass at the origin lands in neither
+signed part.  ``real_part``, ``imag_part`` and ``hermitian_eig`` are not on
+that path; they stay while the benchmark tracer wraps them by name.
 
 Threaded BLAS kernels split large matrices differently for different thread
 counts, so eigenvalues of classes beyond d ~ 100 would depend on
@@ -39,10 +39,6 @@ from .errors import InvalidArgumentError, NumericalFailureError
 
 HERMITIAN_TOLERANCE = 1e-10
 ZERO_EIGENVALUE_FACTOR = 1e-12
-
-
-def frobenius(a) -> float:
-    return float(np.linalg.norm(np.asarray(a)))
 
 
 def _adjoint(a: np.ndarray) -> np.ndarray:
@@ -196,14 +192,6 @@ def part_eigenvalues(t) -> np.ndarray:
     return drop_small(hermitian_eigenvalues(parts, assume_hermitian=True))
 
 
-def trace_norm(t) -> np.ndarray:
-    """Tr|T| of each matrix of a (..., d, d) stack: the sum of its ``singular_values``.
-
-    For Hermitian T this is the sum of |eigenvalues|.
-    """
-    return np.sum(singular_values(t), axis=-1)
-
-
 def real_part(t) -> np.ndarray:
     """(T + T*)/2; Hermitian for any square T (or stack of them)."""
     a = _as_square(t)
@@ -214,27 +202,3 @@ def imag_part(t) -> np.ndarray:
     """(T - T*)/(2i); Hermitian, and T = real_part(T) + 1j*imag_part(T)."""
     a = _as_square(t)
     return -0.5j * (a - _adjoint(a))
-
-
-def _parts(h):
-    eig = hermitian_eig(h)
-    vals = drop_small(eig.eigenvalues)
-    return eig, np.maximum(vals, 0.0), np.maximum(-vals, 0.0)
-
-
-def pos_part(h) -> np.ndarray:
-    """H+ = (H + |H|)/2, positive semidefinite."""
-    eig, pos, _ = _parts(h)
-    return (eig.vectors * pos) @ eig.vectors.conj().T
-
-
-def neg_part(h) -> np.ndarray:
-    """H- = (|H| - H)/2, positive semidefinite, with H = H+ - H-."""
-    eig, _, neg = _parts(h)
-    return (eig.vectors * neg) @ eig.vectors.conj().T
-
-
-def abs_part(h) -> np.ndarray:
-    """Spectral absolute value |H| = H+ + H-."""
-    eig, pos, neg = _parts(h)
-    return (eig.vectors * (pos + neg)) @ eig.vectors.conj().T

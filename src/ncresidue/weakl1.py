@@ -83,9 +83,6 @@ class PartialSumSeries:
     def __len__(self):
         return self.cutoffs.shape[0]
 
-    def real_series(self) -> "PartialSumSeries":
-        return PartialSumSeries(self.cutoffs, np.real(self.values).copy(), self.mode)
-
 
 @dataclass(frozen=True)
 class SlopeEstimate:

@@ -231,15 +231,12 @@ def _richardson(cuts: list, sums: list, s: float) -> complex:
     return complex(_fit(basis, np.array([sums]))[0][0, 0])
 
 
-def _stops(sample: ZetaSample, tol: float, max_cutoff: float, min_cutoff) -> bool:
+def _stops(sample: ZetaSample, tol: float) -> bool:
     """Whether sampling of its s ends with this sample."""
-    satisfied = sample.tail_bound <= tol * max(1.0, abs(sample.partial))
-    forced = min_cutoff is not None and sample.truncation_cutoff < min_cutoff
-    # the last cutoff of the grid cannot be forced further
-    return satisfied and (not forced or 2.0 * sample.truncation_cutoff > max_cutoff)
+    return sample.tail_bound <= tol * max(1.0, abs(sample.partial))
 
 
-def _zeta_samples(sym, s_values, tol, max_cutoff, min_cutoff=None) -> list:
+def _zeta_samples(sym, s_values, tol, max_cutoff) -> list:
     """One sample of f(-s) per s value, all from one doubling loop.
 
     Every cutoff enumerates, evaluates and (for scalar symbols) builds the
@@ -286,7 +283,7 @@ def _zeta_samples(sym, s_values, tol, max_cutoff, min_cutoff=None) -> list:
                 partial=partial,
                 tail_correction=tail,
             )
-        active = [i for i in active if not _stops(found[i], tol, max_cutoff, min_cutoff)]
+        active = [i for i in active if not _stops(found[i], tol)]
         if not active:
             return found
         lo = hi
@@ -302,18 +299,15 @@ def zeta_trace(
     s: float,
     tol: float,
     max_cutoff: float | None = None,
-    min_cutoff: float | None = None,
 ) -> ZetaSample:
     """One sample of f(-s) = sum d * Tr sigma * weight**(-s).
 
     Doubles the cutoff until the sample's bound drops below
     tol * max(1, |partial|); raises BudgetExceededError (with the best
-    sample attached) if the budget runs out first.  ``min_cutoff`` forces a
-    larger cutoff than the stopping rule requires, which is useful for
-    verifying the advertised bound.  See the module docstring for how a
-    sample is formed.
+    sample attached) if the budget runs out first.  See the module
+    docstring for how a sample is formed.
     """
-    return _zeta_samples(sym, [s], tol, max_cutoff, min_cutoff)[0]
+    return _zeta_samples(sym, [s], tol, max_cutoff)[0]
 
 
 def zeta_residue(

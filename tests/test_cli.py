@@ -129,6 +129,22 @@ def test_numerical_failure_exits_one(tmp_path):
     assert any("numerical failure" in f for f in report["flags"])
 
 
+def test_cutoff_whose_square_overflows_exits_one(tmp_path):
+    # the torus shells square the cutoff: 1e190**2 is not finite
+    payload = {
+        "group": {"kind": "torus", "n": 1},
+        "symbol": {"family": "weight_power", "alpha": -1.0},
+        "task": "weakl1",
+        "schedule": {"start": 1e190, "factor": 2, "count": 4},
+    }
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    out = str(tmp_path / "report.json")
+    assert cli.main(["weakl1", "--config", cfg, "--out", out]) == 1
+    report = json.loads(open(out).read())
+    assert report["value"] is None and report["error_bar"] is None
+    assert any("numerical failure" in f and "squares" in f for f in report["flags"])
+
+
 def test_overflowing_sum_exits_one(tmp_path):
     payload = json.loads(json.dumps(SU2_WEAKL1))
     payload["symbol"]["alpha"] = 400.0

@@ -18,6 +18,7 @@ from ncresidue import (
     dense_symbol,
     diag_signed_symbol,
     diagonal_symbol,
+    enumerate_dual,
     geometric_schedule,
     partial_sum,
     scalar_symbol,
@@ -282,7 +283,7 @@ def test_wrong_diagonal_length_raises_naming_the_class():
         with pytest.raises(InvalidArgumentError, match=r"shape \(3,\) at 3 of dimension 4"):
             dualsum.annulus_sums(sym, [8.0], mode)
     with pytest.raises(InvalidArgumentError, match="at 3 of dimension 4"):
-        sym.diagonal(SU2().dual_elements(4.0)[3])
+        sym.diagonal(enumerate_dual(SU2(), 4.0)[3])
     # a chunk evaluator returning the wrong total length is refused too
     chunky = MatrixSymbol(SU2(), "diagonal", DecayEnvelope(1.0, -3.0), None, diag_fn=lambda chunk: np.ones(3))
     with pytest.raises(InvalidArgumentError, match=r"shape \(3,\) for 36 entries"):
@@ -365,8 +366,8 @@ def test_lower_bound_starts_the_first_annulus():
         lambda sym: sum_series(sym, [2.0, math.inf]),
         lambda sym: dualsum.annulus_sums(sym, [2.0], "abs", lo=math.nan),
         lambda sym: dualsum.annulus_sums(sym, [2.0], "abs", lo=-math.inf),
-        lambda sym: sym.group.dual_elements(math.nan),
-        lambda sym: sym.group.dual_elements(math.inf),
+        lambda sym: enumerate_dual(sym.group, math.nan),
+        lambda sym: enumerate_dual(sym.group, math.inf),
     ],
     ids=["partial_sum-inf", "sum_series-nan", "sum_series-inf", "lo-nan", "lo-neg-inf", "dual-nan", "dual-inf"],
 )

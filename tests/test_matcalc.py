@@ -100,12 +100,12 @@ def test_decomposition_quality(seed, d):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, d)
     eig = matcalc.hermitian_eig(h)
-    scale = matcalc.frobenius(h)
+    scale = np.linalg.norm(h)
     assert np.all(np.diff(eig.eigenvalues) >= 0.0)
     gram = eig.vectors.conj().T @ eig.vectors
     assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
     rec = (eig.vectors * eig.eigenvalues) @ eig.vectors.conj().T
-    assert matcalc.frobenius(rec - h) <= 1e-10 * (1.0 + scale)
+    assert np.linalg.norm(rec - h) <= 1e-10 * (1.0 + scale)
 
 
 def test_non_hermitian_rejected():
@@ -157,12 +157,17 @@ def test_assumed_hermitian_stack_skips_only_the_hermitian_check():
         matcalc.hermitian_eigenvalues(np.zeros((2, 3)), assume_hermitian=True)
 
 
+def trace_norm(t):
+    """Tr|T|, the sum of the singular values."""
+    return matcalc.singular_values(t).sum(-1)
+
+
 @pytest.mark.parametrize(
     "name, call",
     [
         ("eigvalsh", matcalc.hermitian_eigenvalues),
         ("eigh", matcalc.hermitian_eig),
-        ("svd", matcalc.trace_norm),
+        ("svd", trace_norm),
     ],
 )
 def test_lapack_failure_is_numerical_failure(monkeypatch, name, call):
@@ -225,14 +230,14 @@ def test_one_blas_thread_concurrent_blocks_restore_once():
 def test_trace_norm_examples():
     nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     stack = np.stack([nilpotent, 1j * np.eye(2), np.diag([2.0, -3.0]).astype(complex)])
-    assert np.allclose(matcalc.trace_norm(stack), [1.0, 2.0, 5.0], rtol=1e-14)
+    assert np.allclose(trace_norm(stack), [1.0, 2.0, 5.0], rtol=1e-14)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 12))
 def test_trace_norm_of_hermitian_is_abs_eigenvalue_sum(seed, d):
     h = random_hermitian(np.random.default_rng(seed), d)
     expect = np.sum(np.abs(matcalc.hermitian_eigenvalues(h)))
-    assert abs(matcalc.trace_norm(h) - expect) <= 1e-12 * (1.0 + expect)
+    assert abs(trace_norm(h) - expect) <= 1e-12 * (1.0 + expect)
 
 
 def test_one_by_one_singular_value_is_np_abs_exactly():
@@ -276,7 +281,7 @@ def test_hermitian_has_zero_imag_part():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 3)
     assert np.allclose(matcalc.real_part(h), h)
-    assert np.max(np.abs(matcalc.imag_part(h))) <= 1e-15 * matcalc.frobenius(h)
+    assert np.max(np.abs(matcalc.imag_part(h))) <= 1e-15 * np.linalg.norm(h)
 
 
 @given(seed=st.integers(0, 2**32 - 1), d=st.integers(1, 8))
@@ -294,50 +299,55 @@ def test_parts_are_hermitian():
     rng = np.random.default_rng(5)
     t = random_complex_matrix(rng, 4)
     for part in (matcalc.real_part(t), matcalc.imag_part(t)):
-        assert matcalc.frobenius(part - part.conj().T) <= 1e-14
+        assert np.linalg.norm(part - part.conj().T) <= 1e-14
 
 
 # ---------------------------------------------------------------------------
-# positive/negative parts
+# positive/negative parts, as the pipeline splits them: the eigenvalues of
+# Re H from ``part_eigenvalues``, clipped at zero from above and from below
+
+
+def _split(h):
+    vals = matcalc.part_eigenvalues(h)[0]
+    return np.maximum(vals, 0.0), np.maximum(-vals, 0.0)
 
 
 def test_diagonal_split_example():
     h = np.diag([1.0, -2.0]).astype(complex)
-    assert np.allclose(matcalc.pos_part(h), np.diag([1.0, 0.0]))
-    assert np.allclose(matcalc.neg_part(h), np.diag([0.0, 2.0]))
-    assert np.allclose(matcalc.abs_part(h), np.diag([1.0, 2.0]))
+    pos, neg = _split(h)
+    assert np.allclose(pos, [0.0, 1.0])
+    assert np.allclose(neg, [2.0, 0.0])
+    assert np.allclose(np.sort(pos + neg), np.sort(matcalc.singular_values(h)))
 
 
 def test_psd_input_is_its_own_pos_part():
     rng = np.random.default_rng(8)
     b = random_complex_matrix(rng, 3)
     h = b @ b.conj().T
-    assert np.allclose(matcalc.pos_part(h), h, atol=1e-10)
-    assert np.max(np.abs(matcalc.neg_part(h))) <= 1e-10 * matcalc.frobenius(h)
+    pos, neg = _split(h)
+    assert abs(pos.sum() - np.trace(h).real) <= 1e-10 * np.linalg.norm(h)
+    assert np.all(neg == 0.0)
 
 
 @given(seed=st.integers(0, 2**32 - 1))
 def test_part_identities_random_3x3(seed):
     rng = np.random.default_rng(seed)
     h = random_hermitian(rng, 3)
-    hp = matcalc.pos_part(h)
-    hn = matcalc.neg_part(h)
-    habs = matcalc.abs_part(h)
-    scale = matcalc.frobenius(h)
-    assert matcalc.frobenius(hp - hn - h) <= 1e-10 * (1.0 + scale)
-    assert matcalc.frobenius(hp + hn - habs) <= 1e-10 * (1.0 + scale)
-    assert matcalc.frobenius(hp @ hn) <= 1e-10 * (1.0 + scale) ** 2
+    pos, neg = _split(h)
+    scale = np.linalg.norm(h)
+    # Tr H = Tr H+ - Tr H-, and the spectrum of |H| = H+ + H- is the singular values
+    assert abs(np.trace(h).real - (pos.sum() - neg.sum())) <= 1e-10
+    assert np.max(np.abs(np.sort(pos + neg) - np.sort(matcalc.singular_values(h)))) <= 1e-10 * (1.0 + scale)
     # consistency against the closed-form spectrum
     vals = _hermitian_3x3_closed_form(h)
-    assert abs(np.trace(habs).real - np.sum(np.abs(vals))) <= 1e-9
-    assert abs(np.trace(h).real - (np.trace(hp) - np.trace(hn)).real) <= 1e-10
-    for part in (hp, hn):
-        assert np.min(matcalc.hermitian_eigenvalues(part)) >= -1e-10 * (1.0 + scale)
+    assert abs((pos + neg).sum() - np.sum(np.abs(vals))) <= 1e-9
 
 
 def test_zero_eigenvalue_mass_assigned_to_neither_part():
-    h = np.diag([1.0, 0.0, -1.0]).astype(complex)
-    hp = matcalc.pos_part(h)
-    hn = matcalc.neg_part(h)
-    assert np.allclose(hp, np.diag([1.0, 0.0, 0.0]))
-    assert np.allclose(hn, np.diag([0.0, 0.0, 1.0]))
+    pos, neg = _split(np.diag([1.0, 0.0, -1.0]).astype(complex))
+    assert np.allclose(pos, [0.0, 0.0, 1.0])
+    assert np.allclose(neg, [1.0, 0.0, 0.0])
+    # a zero eigenvalue that rounding moves off zero still lands in neither part
+    v = random_unitary(np.random.default_rng(12), 3)
+    pos, neg = _split(v @ np.diag([1.0, 0.0, -1.0]).astype(complex) @ v.conj().T)
+    assert pos[1] == 0.0 and neg[1] == 0.0

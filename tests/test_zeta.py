@@ -92,9 +92,6 @@ def test_max_cutoff_is_validated_and_rounds_down_to_the_doubling_grid(t1):
     with pytest.raises(BudgetExceededError) as exc_info:
         zeta_trace(sym, s=0.5, tol=1e-30, max_cutoff=100.0)
     assert exc_info.value.best.truncation_cutoff == 64.0
-    # min_cutoff beyond the grid stops at its last cutoff
-    smp = zeta_trace(sym, s=0.5, tol=1e-3, max_cutoff=100.0, min_cutoff=100.0)
-    assert smp.truncation_cutoff == 64.0
 
 
 def test_torus3_small_s_sample_within_default_budget(t3):
@@ -156,7 +153,10 @@ def _four_point_solve(sym, s, cuts):
 def test_non_scalar_sample_is_the_four_point_solve_of_its_smoothed_sums(su2):
     sym = diag_signed_symbol(su2, -3.0)
     s = 0.1
-    smp = zeta_trace(sym, s, tol=1e-3, min_cutoff=512.0)
+    # a tolerance no sample meets runs the budget out at 512
+    with pytest.raises(BudgetExceededError) as exc_info:
+        zeta_trace(sym, s, tol=1e-300, max_cutoff=512.0)
+    smp = exc_info.value.best
     assert smp.truncation_cutoff == 512.0
     cuts = [DEFAULT_START_CUTOFF * 2.0**k for k in range(6)]  # 16 .. 512
     value, smoothed = _four_point_solve(sym, s, cuts[2:])
@@ -169,10 +169,13 @@ def test_non_scalar_sample_is_the_four_point_solve_of_its_smoothed_sums(su2):
 
 
 def test_monotone_tail(su2):
-    # forcing a larger truncation moves the value by less than the bound
+    # a larger truncation moves the value by less than the bound: the
+    # sample a budget 16 times larger ends on
     sym = weight_power_symbol(su2, 1.0, -3.0)
     base = zeta_trace(sym, s=0.5, tol=1e-3)
-    forced = zeta_trace(sym, s=0.5, tol=1e-3, min_cutoff=base.truncation_cutoff * 16)
+    with pytest.raises(BudgetExceededError) as exc_info:
+        zeta_trace(sym, s=0.5, tol=1e-300, max_cutoff=base.truncation_cutoff * 16)
+    forced = exc_info.value.best
     assert forced.truncation_cutoff > base.truncation_cutoff
     assert abs(forced.value - base.value) <= base.tail_bound
 
