@@ -19,9 +19,10 @@ includes a non-finite number (NaN, Infinity), a string or boolean where a
 number belongs, a fractional count, a non-boolean ``cross_check``, a
 schedule whose last cutoff nears float max, zeta options that
 ``zeta.check_options`` refuses, and a ``weakl1`` or ``residue`` schedule
-that ``weakl1.check_slope_schedule`` refuses.  A sweep whose series is too
-short for ``weakl1.estimate_slope`` still exits 0: its CSV is written, and
-its report carries value 0 and ``SHORT_SWEEP_FLAG``.
+that ``weakl1.check_slope_schedule`` refuses.  ``weakl1`` and ``sweep``
+share one runner; ``sweep`` is its ``abs`` case with the series CSV always
+written.  A sweep whose series is too short for a slope still exits 0: its
+CSV is written, and its report carries value 0 and ``SHORT_SWEEP_FLAG``.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -62,11 +63,9 @@ class RunConfig:
     task: str
     schedule: list
     mode: str = "abs"
-    modulation: Optional[dict] = None
+    modulation: Optional[Callable] = None  # a(x), from build_modulation
     quadrature_resolution: int = 1
-    s_schedule: Optional[list] = None
-    zeta_tol: Optional[float] = None
-    zeta_max_cutoff: Optional[float] = None
+    zeta: dict = dc_field(default_factory=dict)  # zeta.zeta_residue keyword arguments
     cross_check: bool = False
     report_path: Optional[str] = None
     series_path: Optional[str] = None
@@ -187,21 +186,22 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
     modulation = raw.get("modulation")
     if modulation is not None:
         _require(task == "residue", "modulation is only meaningful for the residue task")
-        build_modulation(group, modulation)  # validate the kind now
+        modulation = build_modulation(group, modulation)
     resolution = raw.get("quadrature_resolution", 8 if modulation is not None else 1)
     resolution = _number(resolution, "quadrature_resolution", integer=True)
     _require(resolution >= 1, "quadrature_resolution must be >= 1")
 
     zeta_spec = raw.get("zeta", {})
     _require(isinstance(zeta_spec, dict), "zeta options must be an object")
-    s_schedule, zeta_tol, zeta_max = (zeta_spec.get(key) for key in ("s_schedule", "tol", "max_cutoff"))
+    s_schedule = zeta_spec.get("s_schedule")
     if s_schedule is not None:
         _require(isinstance(s_schedule, list), "zeta.s_schedule must be a list")
         s_schedule = [_number(v, "zeta.s_schedule") for v in s_schedule]
-    zeta_tol = None if zeta_tol is None else _number(zeta_tol, "zeta.tol")
-    zeta_max = None if zeta_max is None else _number(zeta_max, "zeta.max_cutoff")
+    zeta_options = {"s_schedule": s_schedule}
+    for key in ("tol", "max_cutoff"):
+        zeta_options[key] = None if zeta_spec.get(key) is None else _number(zeta_spec[key], f"zeta.{key}")
     try:
-        zeta.check_options(s_schedule, zeta_tol, zeta_max)
+        zeta.check_options(zeta_options["s_schedule"], zeta_options["tol"], zeta_options["max_cutoff"])
     except InvalidArgumentError as exc:
         raise ConfigError(f"zeta options (s_schedule, tol, max_cutoff): {exc}") from None
 
@@ -219,9 +219,7 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
         mode=mode,
         modulation=modulation,
         quadrature_resolution=resolution,
-        s_schedule=s_schedule,
-        zeta_tol=zeta_tol,
-        zeta_max_cutoff=zeta_max,
+        zeta=zeta_options,
         cross_check=cross_check,
         report_path=output.get("report"),
         series_path=output.get("series"),
@@ -278,7 +276,7 @@ def _build_field(config: RunConfig, sym: MatrixSymbol) -> SymbolField:
     quad = config.group.haar_quadrature(config.quadrature_resolution)
     if config.modulation is None:
         return invariant_field(sym, quad)
-    return modulated_field(build_modulation(config.group, config.modulation), sym, quad, sym.envelope.order)
+    return modulated_field(config.modulation, sym, quad, sym.envelope.order)
 
 
 def _series_rows(series: weakl1.PartialSumSeries):
@@ -312,11 +310,17 @@ def write_series_csv(path: str, series: weakl1.PartialSumSeries) -> None:
 
 
 def _run_weakl1(config: RunConfig):
+    """The ``weakl1`` and ``sweep`` tasks: the weak-l1 slope of the partial sums."""
     sym = build_symbol(config.group, config.symbol_spec)
     series = weakl1.sum_series(sym, config.schedule, mode=config.mode)
     # "abs" fits S; "signed" fits Re S and Im S in one call
     parts = [series.values.real] if config.mode == "abs" else [series.values.real, series.values.imag]
-    estimates = weakl1._estimate_slopes(series.cutoffs, np.stack(parts))
+    try:
+        estimates = weakl1._estimate_slopes(series.cutoffs, np.stack(parts))
+    except InvalidArgumentError:  # too few entries or octaves: a sweep still reports its series
+        if config.task != "sweep":
+            raise
+        return complex(0.0), 0.0, [SHORT_SWEEP_FLAG], {}, series
     value = complex(*(e.value for e in estimates))
     error = sum(e.error_bar for e in estimates)
     flags = list(dict.fromkeys(f for e in estimates for f in e.flags))
@@ -325,9 +329,7 @@ def _run_weakl1(config: RunConfig):
 
 def _run_zeta(config: RunConfig):
     sym = build_symbol(config.group, config.symbol_spec)
-    zres = zeta.zeta_residue(
-        sym, s_schedule=config.s_schedule, tol=config.zeta_tol, max_cutoff=config.zeta_max_cutoff
-    )
+    zres = zeta.zeta_residue(sym, **config.zeta)
     return complex(zres.value), zres.error_bar, list(zres.flags), {}, None
 
 
@@ -336,13 +338,7 @@ def _run_residue(config: RunConfig):
     field = _build_field(config, sym)
     report = residue_mod.wodzicki_residue(field, config.schedule)
     if config.cross_check:
-        report = residue_mod.attach_zeta_cross_check(
-            report,
-            field,
-            s_schedule=config.s_schedule,
-            tol=config.zeta_tol,
-            max_cutoff=config.zeta_max_cutoff,
-        )
+        report = residue_mod.attach_zeta_cross_check(report, field, **config.zeta)
     extra = {
         "per_node": [
             {
@@ -365,21 +361,11 @@ def _run_residue(config: RunConfig):
     return report.residue, report.total_error_bar, list(report.flags), extra, None
 
 
-def _run_sweep(config: RunConfig):
-    sym = build_symbol(config.group, config.symbol_spec)
-    series = weakl1.sum_series(sym, config.schedule, mode="abs")
-    try:
-        est = weakl1.estimate_slope(series)
-    except InvalidArgumentError:  # too few entries or octaves
-        return complex(0.0), 0.0, [SHORT_SWEEP_FLAG], {}, series
-    return complex(est.value), est.error_bar, list(est.flags), {}, series
-
-
 _RUNNERS = {
     "weakl1": _run_weakl1,
     "zeta": _run_zeta,
     "residue": _run_residue,
-    "sweep": _run_sweep,
+    "sweep": _run_weakl1,
 }
 
 

@@ -1,11 +1,11 @@
 """Dense complex matrix algebra on top of LAPACK.
 
 Hermitian eigenproblems go to ``numpy.linalg.eigh`` / ``eigvalsh`` (LAPACK
-``zheevd``).  ``hermitian_eigenvalues`` takes a ``(..., d, d)`` stack and
-validates it once -- square, finite, and Hermitian within
-HERMITIAN_TOLERANCE * (1 + ||A||_F) per matrix, or only square and finite
-for stacks Hermitian by construction -- before one LAPACK call, so several
-matrices of one dimension take one call.  A LAPACK convergence
+``zheevd``), one call per ``(..., d, d)`` stack, so several matrices of one
+dimension take one call.  ``hermitian_eigenvalues`` checks only that the
+stack is square and finite, as the pipeline builds it Hermitian;
+``hermitian_eig`` also refuses a defect above HERMITIAN_TOLERANCE *
+(1 + ||A||_F) per matrix (``check_hermitian``).  A LAPACK convergence
 failure surfaces as NumericalFailureError.
 
 The pipeline needs two spectra per dense class: the singular values of T
@@ -149,15 +149,13 @@ def hermitian_eig(h) -> HermEig:
     return HermEig(vals, vecs)
 
 
-def hermitian_eigenvalues(h, assume_hermitian: bool = False) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """Ascending eigenvalues of each matrix of a (..., d, d) Hermitian stack.
 
-    ``assume_hermitian`` is for stacks that are Hermitian in floating point
-    by construction, such as (T + T*)/2 and (T - T*)/(2i): only finiteness
-    is checked.
+    For stacks that are Hermitian in floating point by construction, such as
+    (T + T*)/2 and (T - T*)/(2i): only the shape and finiteness are checked.
     """
-    a = _as_square(h) if assume_hermitian else check_hermitian(h)
-    return _lapack(np.linalg.eigvalsh, a)
+    return _lapack(np.linalg.eigvalsh, _as_square(h))
 
 
 def drop_small(vals: np.ndarray) -> np.ndarray:
@@ -189,7 +187,7 @@ def part_eigenvalues(t) -> np.ndarray:
     a = np.asarray(t, dtype=np.complex128)
     adj = _adjoint(a)
     parts = np.stack((0.5 * (a + adj), -0.5j * (a - adj)))
-    return drop_small(hermitian_eigenvalues(parts, assume_hermitian=True))
+    return drop_small(hermitian_eigenvalues(parts))
 
 
 def real_part(t) -> np.ndarray:

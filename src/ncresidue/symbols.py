@@ -30,14 +30,16 @@ largest modulus of its ``abs`` entries, and refuses a norm that is not
 within the envelope, NaN included, with InvalidArgumentError naming the
 class.
 
-Scalar and diagonal symbols store a chunk evaluator, ``diag_fn``: it maps a
-``DualChunk`` to the diagonals of the chunk's classes concatenated in chunk
-order (length sum of d), so a dual sum evaluates them one chunk at a time.
-``diagonal_symbol`` keeps a per-class ``diag(xi)`` signature and wraps it in
-a loop over the chunk's classes; ``diag_signed_symbol`` and ``scalar_symbol``
-build vectorised chunk evaluators.  Pointwise combinations (``add_symbols``,
-``scale_symbol``, ``combine_fields``) are built by one constructor, which keeps
-the scalar or diagonal structure when every term has it.
+A scalar symbol holds only its radial profile ``radial_fn``; its chunk
+diagonals repeat the profile d times per class.  A diagonal symbol stores a
+chunk evaluator, ``diag_fn``: it maps a ``DualChunk`` to the diagonals of
+the chunk's classes concatenated in chunk order (length sum of d), so a
+dual sum evaluates them one chunk at a time.  ``diagonal_symbol`` keeps a
+per-class ``diag(xi)`` signature and wraps it in a loop over the chunk's
+classes; ``diag_signed_symbol`` is vectorised.  Pointwise combinations
+(``add_symbols``, ``scale_symbol``, ``combine_fields``) are built by one
+constructor, which keeps the scalar or diagonal structure when every term
+has it.
 ``MatrixSymbol.diagonal`` evaluates the one-class chunk of a class, and
 ``evaluate`` is its diagonal matrix.
 
@@ -86,7 +88,7 @@ class MatrixSymbol:
     """An x-independent symbol: dual class -> d x d complex matrix.
 
     ``matrix_fn`` is None for scalar and diagonal structure, whose matrix is
-    the diagonal of the chunk evaluator ``diag_fn``.
+    the diagonal of ``chunk_diagonals``.
     """
 
     group: GroupModel
@@ -108,6 +110,8 @@ class MatrixSymbol:
 
     def chunk_diagonals(self, chunk: DualChunk) -> np.ndarray:
         """The chunk's diagonals as one flat vector; only for scalar/diagonal structure."""
+        if self.radial_fn is not None:
+            return np.repeat(self.radial_profile(chunk.weights), chunk.dims.astype(np.int64))
         if self.diag_fn is None:
             raise InvalidArgumentError("symbol has no diagonal fast path")
         entries = int(chunk.dims.sum())
@@ -129,7 +133,7 @@ class MatrixSymbol:
         """
         if mode not in ("abs", "signed", "four"):
             raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
-        if self.diag_fn is not None:
+        if self.matrix_fn is None:
             return self.chunk_diagonals(chunk)
         with matcalc.one_blas_thread():
             parts = [_dense_spectrum(self.evaluate(el), mode) for el in chunk.elements()]
@@ -206,12 +210,7 @@ def scalar_symbol(
     The profile must accept a float64 array of weights and return values
     elementwise (it is evaluated in bulk on the radial fast path).
     """
-
-    def diag_fn(chunk: DualChunk) -> np.ndarray:
-        values = np.asarray(profile(chunk.weights), dtype=np.complex128)
-        return np.repeat(values, chunk.dims.astype(np.int64))
-
-    sym = MatrixSymbol(group, "scalar", envelope, None, radial_fn=profile, diag_fn=diag_fn)
+    sym = MatrixSymbol(group, "scalar", envelope, None, radial_fn=profile)
     return _check_envelope(sym) if check else sym
 
 
@@ -287,8 +286,8 @@ def zero_symbol(group: GroupModel, order: float) -> MatrixSymbol:
 def _combine(coeffs, syms) -> MatrixSymbol:
     """Pointwise sum of c_k * sym_k over one group; envelopes combine by the triangle inequality.
 
-    The sum is scalar if every term is, diagonal if every term has a
-    diagonal evaluator, and dense otherwise.
+    The sum is scalar if every term is, diagonal if every term is scalar or
+    diagonal, and dense otherwise.
     """
     coeffs = [complex(c) for c in coeffs]
     group = syms[0].group
@@ -309,8 +308,8 @@ def _combine(coeffs, syms) -> MatrixSymbol:
 
     if all(sym.radial_fn is not None for sym in syms):
         return scalar_symbol(group, combined([sym.radial_fn for sym in syms]), env, check=False)
-    if all(sym.diag_fn is not None for sym in syms):
-        return MatrixSymbol(group, "diagonal", env, None, diag_fn=combined([sym.diag_fn for sym in syms]))
+    if all(sym.matrix_fn is None for sym in syms):
+        return MatrixSymbol(group, "diagonal", env, None, diag_fn=combined([sym.chunk_diagonals for sym in syms]))
     return MatrixSymbol(group, "dense", env, combined([sym.evaluate for sym in syms]))
 
 

@@ -44,8 +44,8 @@ enters; their drift is zero.
 
 A sample's bound is TAIL_SAFETY_FACTOR * (|value - previous value| +
 drift); the first sample has none.  The cutoff doubles until the bound
-falls below tol * max(1, |S_psi(N)|) or the budget runs out
-(``default_max_cutoff``; a budget off the doubling grid rounds down to it).
+falls below tol * max(1, |S_psi(N)|) or the budget runs out (``_MAX_CUTOFF``
+by default; a budget off the doubling grid rounds down to it).
 
 The residue is read off alike for every symbol, by the same fitter:
 g(s) = s * f(-s) at the three smallest s against (1, s, s^2), whose
@@ -90,14 +90,9 @@ _LOG_SPAN = 40.0
 _LOG_PANELS = 10
 _PANEL_NODES = (16, 24)
 
-# Cutoff budgets.  A non-scalar T^3 sum to 2^8 already visits about 7e7
-# classes; scalar symbols stop near N = 128 on every group.
+# Default cutoff budgets.  A non-scalar T^3 sum to 2^8 already visits about
+# 7e7 classes; scalar symbols stop near N = 128 on every group.
 _MAX_CUTOFF = {"T1": float(2**24), "T2": float(2**11), "T3": float(2**8), "SU2": float(2**24)}
-
-
-def default_max_cutoff(group: GroupModel) -> float:
-    """Largest truncation cutoff the dual sums can afford by default."""
-    return _MAX_CUTOFF[group.name]
 
 
 @dataclass(frozen=True)
@@ -231,11 +226,6 @@ def _richardson(cuts: list, sums: list, s: float) -> complex:
     return complex(_fit(basis, np.array([sums]))[0][0, 0])
 
 
-def _stops(sample: ZetaSample, tol: float) -> bool:
-    """Whether sampling of its s ends with this sample."""
-    return sample.tail_bound <= tol * max(1.0, abs(sample.partial))
-
-
 def _zeta_samples(sym, s_values, tol, max_cutoff) -> list:
     """One sample of f(-s) per s value, all from one doubling loop.
 
@@ -247,7 +237,7 @@ def _zeta_samples(sym, s_values, tol, max_cutoff) -> list:
     check_critical_order(sym.group, sym.envelope.order, "zeta path: envelope order")
     s_values = [float(v) for v in s_values]
     check_options(s_values, tol, max_cutoff, min_count=1)
-    max_cutoff = default_max_cutoff(sym.group) if max_cutoff is None else float(max_cutoff)
+    max_cutoff = _MAX_CUTOFF[sym.group.name] if max_cutoff is None else float(max_cutoff)
     radial = sym.radial_fn is not None
     sharp = [complex(0.0)] * len(s_values)  # S(N) at the last cutoff
     smoothed = [[] for _ in s_values]  # S_psi(N) at the trailing cutoffs
@@ -283,7 +273,7 @@ def _zeta_samples(sym, s_values, tol, max_cutoff) -> list:
                 partial=partial,
                 tail_correction=tail,
             )
-        active = [i for i in active if not _stops(found[i], tol)]
+        active = [i for i in active if found[i].tail_bound > tol * max(1.0, abs(found[i].partial))]
         if not active:
             return found
         lo = hi

@@ -10,6 +10,7 @@ import pytest
 
 from ncresidue import cli, weakl1
 from ncresidue.errors import InvalidArgumentError
+from ncresidue.groups import SU2
 
 
 def _write_config(tmp_path, name, payload):
@@ -425,6 +426,43 @@ def test_short_sweep_reports_zero_with_a_flag(tmp_path, count):
     assert report["value"] == {"re": 0.0, "im": 0.0} and report["error_bar"] == 0.0
     assert report["flags"] == [cli.SHORT_SWEEP_FLAG]
     assert len(open(report["series_path"]).read().strip().splitlines()) == count + 1
+
+
+def test_short_weakl1_is_a_numerical_failure(tmp_path):
+    # parse_config refuses this schedule; a RunConfig built by hand reaches the fit
+    config = cli.RunConfig(
+        group=SU2(),
+        symbol_spec={"family": "weight_power", "alpha": -3.0},
+        task="weakl1",
+        schedule=[2.0, 4.0, 8.0],
+    )
+    out = tmp_path / "report.json"
+    assert cli.run_task(config, str(out)) == 1
+    report = json.loads(out.read_text())
+    assert report["value"] is None and report["error_bar"] is None
+    assert report["flags"][0].startswith("numerical failure: ") and "series_path" not in report
+
+
+@pytest.mark.parametrize(
+    "group, symbol",
+    [
+        ({"kind": "su2"}, {"family": "weight_power", "coeff_re": 1.5, "coeff_im": -0.5, "alpha": -3.0}),
+        ({"kind": "torus", "n": 3}, {"family": "diag_signed", "alpha": -3.0}),
+        ({"kind": "su2"}, {"family": "weight_power", "alpha": -1.0}),  # flagged: not of critical order
+    ],
+    ids=["su2", "t3-diag-signed", "flagged"],
+)
+def test_weakl1_and_sweep_report_the_same_abs_slope(tmp_path, group, symbol):
+    payload = {"group": group, "symbol": symbol, "schedule": {"start": 4, "factor": 2, "count": 6}}
+    cfg = _write_config(tmp_path, "cfg.json", payload)
+    reports = {}
+    for task in ("weakl1", "sweep"):
+        out = tmp_path / f"{task}.json"
+        cli.main([task, "--config", cfg, "--out", str(out)])
+        # the reports differ only in the task name and the sweep's series path
+        reports[task] = re.sub(r'  "(task|series_path)": .*\n', "", _mask_wall_time(out.read_text()))
+    assert reports["weakl1"] == reports["sweep"]
+    assert '"value": {' in reports["sweep"] and cli.SHORT_SWEEP_FLAG not in reports["sweep"]
 
 
 def test_sweep_zero_symbol(tmp_path):

@@ -269,7 +269,7 @@ def test_one_class_diagonal_is_its_slice_of_the_chunk(group):
     for chunk in grp.dual_chunks(0.0, schedule[-1]):
         offsets = np.concatenate(([0], np.cumsum(chunk.dims.astype(np.int64))))
         for sym in symbols:
-            flat = sym.diag_fn(chunk)
+            flat = sym.chunk_diagonals(chunk)
             for el, a, b in zip(chunk.elements(), offsets[:-1], offsets[1:]):
                 assert sym.diagonal(el).tobytes() == np.asarray(flat[a:b], dtype=np.complex128).tobytes()
 

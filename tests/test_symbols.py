@@ -179,18 +179,23 @@ def test_envelope_spot_check_refuses_nan(su2):
         dense_symbol(su2, lambda xi: np.full((xi.dim, xi.dim), np.nan, dtype=complex), envelope)
 
 
-@pytest.mark.parametrize("structure", ["diagonal", "dense"])
+@pytest.mark.parametrize("structure", ["scalar", "diagonal", "dense"])
 @pytest.mark.parametrize("group", [Torus(1), Torus(2), Torus(3), SU2()], ids=str)
 def test_envelope_spot_check_reaches_the_trivial_class(group, structure):
     # within the envelope <xi>^-n everywhere except at xi = 0, where it is 100 times over;
     # the lowest-weight annulus holds the trivial class on every group
+    def profile(w):
+        return np.where(w == 1.0, 100.0, w**-group.dim).astype(complex)
+
     def diag(xi):
         return np.full(xi.dim, 100.0 if xi.weight == 1.0 else xi.weight**-group.dim, dtype=complex)
 
     envelope = DecayEnvelope(1.0, -group.dim)
     trivial = r"\(weight 1\): \|sigma\| = 100 > 1$"
     with pytest.raises(InvalidArgumentError, match=trivial):
-        if structure == "diagonal":
+        if structure == "scalar":
+            scalar_symbol(group, profile, envelope)
+        elif structure == "diagonal":
             diagonal_symbol(group, diag, envelope)
         else:
             dense_symbol(group, lambda xi: np.diag(diag(xi)), envelope)
