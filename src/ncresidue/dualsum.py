@@ -35,15 +35,19 @@ sums), and every channel is then summed once per row, along its own
 contiguous row, so a row's sum does not depend on the rows beside it.
 Without factors each term carries the factor 1 and no multiply is made.
 
-Block contributions are pairwise-summed by numpy and then combined with
-Kahan compensation in block order on the calling thread, so results are
-bit-reproducible.  A chunk holds at most ``groups._CHUNK_ENTRIES`` entries
-(or one class), so no evaluation holds more.  Dense classes are solved with
-numpy's bundled OpenBLAS on one thread (``matcalc.one_blas_thread``), so
-they are also independent of OPENBLAS_NUM_THREADS; with another BLAS build
-large dense classes may depend on its thread count.  A block whose channel
-sum is not finite raises NumericalFailureError; a dense class with a
-non-finite entry has NaN ``abs`` and ``four`` spectra, so it fails so.
+Block contributions are pairwise-summed by numpy and then combined on the
+calling thread by ``math.fsum`` per channel (a complex channel as its real
+and imaginary parts): an annulus sums its blocks and a cumulative sum the
+annuli up to it, each exactly rounded, so results do not depend on the
+block order and are bit-reproducible; a combination that overflows raises
+NumericalFailureError.  A chunk holds at most ``groups._CHUNK_ENTRIES``
+entries (or one class), so no evaluation holds more.  Dense classes are
+solved with numpy's bundled OpenBLAS on one thread
+(``matcalc.one_blas_thread``), so they are also independent of
+OPENBLAS_NUM_THREADS; with another BLAS build large dense classes may
+depend on its thread count.  A block whose channel sum is not finite
+raises NumericalFailureError; a dense class with a non-finite entry has
+NaN ``abs`` and ``four`` spectra, so it fails so.
 """
 
 from __future__ import annotations
@@ -111,21 +115,13 @@ def _block_terms(sym: MatrixSymbol, block, mode: str, factors) -> np.ndarray:
     return part
 
 
-class _Kahan:
-    """Compensated accumulator for a fixed-length channel vector."""
-
-    def __init__(self, nch: int, dtype):
-        self.total = np.zeros(nch, dtype=dtype)
-        self.comp = np.zeros(nch, dtype=dtype)
-
-    def add(self, part: np.ndarray) -> None:
-        y = part - self.comp
-        t = self.total + y
-        self.comp = (t - self.total) - y
-        self.total = t
-
-    def value(self) -> np.ndarray:
-        return self.total.copy()
+def _exact_sums(parts: np.ndarray) -> np.ndarray:
+    """Exactly rounded (``math.fsum``) channel sums of an (n, channels) array down its first axis."""
+    cols = np.ascontiguousarray(parts).view(np.float64).T.tolist()  # a complex channel as (re, im)
+    try:
+        return np.array([math.fsum(col) for col in cols]).view(parts.dtype)
+    except OverflowError as exc:
+        raise NumericalFailureError(f"the sum of {len(parts)} partial sums overflows") from exc
 
 
 def annulus_sums(
@@ -158,19 +154,12 @@ def annulus_sums(
     blocks_of = sym.group.radial_shells if sym.radial_fn is not None else sym.group.dual_chunks
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite block is refused by _block_terms
         for j, hi in enumerate(schedule):
-            acc = _Kahan(out.shape[1], dtype)
-            for block in blocks_of(lo, hi):
-                acc.add(_block_terms(sym, block, mode, factors).ravel())
-            out[j] = acc.value()
+            parts = [_block_terms(sym, block, mode, factors).ravel() for block in blocks_of(lo, hi)]
+            out[j] = _exact_sums(np.array(parts, dtype=dtype).reshape(-1, out.shape[1]))
             lo = hi
     return out
 
 
 def cumulative_sums(annuli: np.ndarray) -> np.ndarray:
-    """Kahan-compensated cumulative sums down the annulus axis."""
-    out = np.empty_like(annuli)
-    acc = _Kahan(annuli.shape[1], annuli.dtype)
-    for j in range(annuli.shape[0]):
-        acc.add(annuli[j])
-        out[j] = acc.value()
-    return out
+    """Exactly rounded cumulative sums down the annulus axis."""
+    return np.array([_exact_sums(annuli[: j + 1]) for j in range(len(annuli))]).reshape(annuli.shape)

@@ -148,7 +148,7 @@ class GroupModel:
 
         A chunk holds at most ``_CHUNK_ENTRIES`` diagonal entries unless it
         is a single class; its boundaries depend on (lo, hi) only.  A bound
-        whose square is not finite raises InvalidArgumentError.
+        whose square is not below 2**62 raises InvalidArgumentError.
         """
         raise NotImplementedError
 
@@ -187,13 +187,15 @@ class GroupModel:
 
 
 def _check_bounds(lo: float, hi: float) -> None:
-    """Refuse an annulus (lo, hi] with a bound whose square is not finite.
+    """Refuse an annulus (lo, hi] with a bound whose square is 2**62 or more.
 
     Every generator squares its bounds for the exact integer membership
-    test, so a finite bound beyond about 1.3e154 would overflow there.
+    test and forms 1 + |xi|^2, (ell + 1)^2 or ell(ell + 2) in int64, so a
+    bound of 2**31 (about 2.1e9) or more would overflow there.  NaN and
+    infinite bounds fail the test too.
     """
-    if not (math.isfinite(lo * lo) and math.isfinite(hi * hi)):
-        raise InvalidArgumentError(f"annulus bounds must be finite, and so must their squares, got ({lo}, {hi}]")
+    if not (lo * lo < 2.0**62 and hi * hi < 2.0**62):
+        raise InvalidArgumentError(f"annulus bounds must be finite, with squares below 2**62, got ({lo}, {hi}]")
 
 
 def _int_floor(x: float) -> int:
@@ -201,7 +203,7 @@ def _int_floor(x: float) -> int:
 
 
 def _isqrt(v: np.ndarray) -> np.ndarray:
-    """Elementwise floor(sqrt(v)) for int64 v >= 0 below 2**52, exactly."""
+    """Elementwise floor(sqrt(v)) for int64 v >= 0 below 2**62, exactly."""
     r = np.floor(np.sqrt(v.astype(np.float64))).astype(np.int64)
     r -= r * r > v
     r += (r + 1) * (r + 1) <= v
@@ -288,14 +290,14 @@ class Torus(GroupModel):
         # prefix: one empty prefix on T^1, one table of prefixes x1 on T^2,
         # one table (x1, x2) per x1 on T^3.  Every class has d = 1, so a chunk
         # is filled with the next _CHUNK_ENTRIES classes of the runs; memory
-        # is O(hi) plus one chunk.
+        # is one chunk, plus O(hi) for the prefix table of T^2 and T^3.
         kmin = _int_floor(qlo)  # q > qlo  <=>  |xi|^2 >= floor(qlo)
-        x1 = np.arange(-kmax, kmax + 1, dtype=np.int64)
         if self.n == 1:
             tables = [np.zeros((1, 0), dtype=np.int64)]
         elif self.n == 2:
-            tables = [x1[:, None]]
+            tables = [np.arange(-kmax, kmax + 1, dtype=np.int64)[:, None]]
         else:
+            x1 = np.arange(-kmax, kmax + 1, dtype=np.int64)
             k2 = _isqrt(r2max - x1 * x1)
             tables = (
                 np.column_stack((np.full(2 * k + 1, x), np.arange(-k, k + 1)))
@@ -366,7 +368,8 @@ class Torus(GroupModel):
             for start in range(a, b, _SHELL_BLOCK):
                 block = mult[start - a : start - a + _SHELL_BLOCK]
                 k = np.flatnonzero(block != 0)
-                yield np.sqrt((1 + start + k).astype(np.float64)), block[k].astype(np.int64)
+                if k.size:  # a block may hold no shell: r_2(3599) = r_3(7) = 0
+                    yield np.sqrt((1 + start + k).astype(np.float64)), block[k].astype(np.int64)
 
     def _make_chunk(self, labels: np.ndarray, q: np.ndarray) -> DualChunk:
         qf = q.astype(np.float64)

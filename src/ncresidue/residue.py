@@ -16,7 +16,7 @@ a Re sigma and Im(a sigma) = a Im sigma, so the four parts at a node are
 |a(x_j)| times those of sigma, with + and - exchanged where a(x_j) < 0.
 For such fields (``SymbolField.scaled``) the base symbol is summed over
 the dual once and each node's series is its scaled copy; scaling after
-the compensated sum rather than before changes only low-order bits.
+the exactly rounded sum rather than before changes only low-order bits.
 
 Every distinct (symbol, factor) pair of a field contributes four rows, and
 all of them are fitted in one ``weakl1._estimate_slopes`` call (two

@@ -330,7 +330,8 @@ class SymbolField:
     that ``node_symbols[j]`` is ``factors[j] * base``.  The residue then
     sums the base over the dual once and scales its series per node
     instead of summing every node symbol; ``node_symbols`` still holds the
-    scaled symbols for every other consumer.
+    scaled symbols for every other consumer.  An ``invariant`` field holds
+    one symbol object at every node, and the residue reads node 0 alone.
     """
 
     quadrature: QuadratureRule
@@ -342,6 +343,8 @@ class SymbolField:
     def __post_init__(self):
         if len(self.node_symbols) != self.quadrature.nodes.shape[0]:
             raise InvalidArgumentError("one symbol per quadrature node is required")
+        if self.invariant and any(sym is not self.node_symbols[0] for sym in self.node_symbols):
+            raise InvalidArgumentError("an invariant field holds one symbol object at every node")
         if self.scaled is not None:
             base, factors = self.scaled
             if len(factors) != len(self.node_symbols) or base.group != self.group:

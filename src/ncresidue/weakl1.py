@@ -18,7 +18,7 @@ along a row, so a row's estimate is bit-identical alone or beside others.
 ``estimate_slope`` is its one-row case, and the residue assembly fits
 every part of every node of a field in one call.
 
-Partial sums follow the canonical dual order with compensated summation
+Partial sums are exactly rounded sums of block sums fixed by the cutoffs
 (see ``dualsum``), so series are bit-reproducible.  Error bars are fit
 stability heuristics, not rigorous bounds.
 """
@@ -96,13 +96,8 @@ class SlopeEstimate:
 
 
 def partial_sum(sym: MatrixSymbol, cutoff: float, mode: str = "abs"):
-    """S(cutoff): real for mode "abs", complex for mode "signed"."""
-    if cutoff < 1.0:
-        raise InvalidArgumentError(f"cutoff must be >= 1, got {cutoff}")
-    if mode not in ("abs", "signed"):
-        raise InvalidArgumentError(f"mode must be 'abs' or 'signed', got {mode!r}")
-    total = dualsum.annulus_sums(sym, [cutoff], mode)[0, 0]
-    return float(total.real) if mode == "abs" else complex(total)
+    """S(cutoff): real for mode "abs", complex for mode "signed"; the one-cutoff ``sum_series``."""
+    return (float if mode == "abs" else complex)(sum_series(sym, [cutoff], mode).values[0])
 
 
 def sum_series(sym: MatrixSymbol, schedule, mode: str = "abs") -> PartialSumSeries:

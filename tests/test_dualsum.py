@@ -334,6 +334,42 @@ def test_overflowing_torus3_shell_sum_raises():
         sum_series(weight_power_symbol(Torus(3), 1.0, 400.0), geometric_schedule(16, 2, 4))
 
 
+# ---------------------------------------------------------------------------
+# block and annulus sums are combined exactly rounded
+
+
+def test_cumulative_sums_are_exactly_rounded():
+    # compensation in order loses the unit term between the cancelling ones
+    real = dualsum.cumulative_sums(np.array([[1e100], [1.0], [-1e100]]))
+    cplx = dualsum.cumulative_sums(np.array([[1e100 + 1e100j], [1.0 + 2.0j], [-1e100 - 1e100j]]))
+    assert real[-1, 0] == 1.0 and cplx[-1, 0] == 1.0 + 2.0j
+
+
+def _su2_spikes(shell_sums):
+    """SU(2) scalar symbol whose shell of weight w sums to shell_sums[w], and the rest to 0."""
+
+    def profile(w):
+        out = np.zeros(w.shape)
+        for at, total in shell_sums.items():
+            out[w == at] = total / at**2  # exact: at is a power of two, and at^2 is the shell's multiplicity
+        return out
+
+    return scalar_symbol(SU2(), profile, DecayEnvelope(1.0, -3.0), check=False)
+
+
+def test_block_sums_are_exactly_rounded():
+    # SU(2) shell blocks hold 2^14 levels: blocks 1, 2 and 4 of (0, 2^16]
+    # sum to 1e100, 1 and -1e100
+    sym = _su2_spikes({2.0**14: 1e100, 2.0**15: 1.0, 2.0**16: -1e100})
+    assert dualsum.annulus_sums(sym, [2.0**16], "signed")[0, 0] == 1.0
+    # finite block sums and annulus sums whose total overflows
+    big = _su2_spikes({2.0**14: 1e308, 2.0**15: 1e308})
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        dualsum.annulus_sums(big, [2.0**16], "abs")
+    with pytest.raises(NumericalFailureError, match="overflows"):
+        sum_series(big, [2.0**14, 2.0**15])
+
+
 def test_radial_sums_never_enumerate_the_dual(monkeypatch):
     def no_enumeration(self, lo, hi):
         raise AssertionError("radial symbol enumerated the dual")

@@ -3,7 +3,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncresidue import (
@@ -89,9 +89,11 @@ def test_torus_dimension_validation():
 
 @pytest.mark.parametrize("group", [Torus(1), Torus(2), Torus(3), SU2()], ids=str)
 @pytest.mark.parametrize("method", ["dual_chunks", "radial_shells"])
-# the generators square their bounds, and 1e200**2 is not finite either
+# the generators square their bounds, and 1e200**2 is not finite either;
+# 3.1e9**2 is, but 1 + |xi|^2, (ell + 1)^2 and ell(ell + 2) overflow int64
 @pytest.mark.parametrize(
-    "lo, hi", [(0.0, math.inf), (0.0, math.nan), (-math.inf, 4.0), (0.0, 1e200), (1e200, 1e201)]
+    "lo, hi",
+    [(0.0, math.inf), (0.0, math.nan), (-math.inf, 4.0), (0.0, 1e200), (1e200, 1e201), (3.1e9, 3.1e9 + 3)],
 )
 def test_non_finite_annulus_bound_is_invalid_argument(group, method, lo, hi):
     with pytest.raises(InvalidArgumentError, match="annulus bounds must be finite"):
@@ -235,16 +237,18 @@ def test_torus_chunks_match_brute_force_filter_of_the_cube(n, a, b, entries):
 
 
 def test_torus3_chunk_memory_scales_with_the_annulus():
-    # the annulus (120, 128] holds 1.5M classes; its ball would need a
-    # 257^2-label row per x1
-    tracemalloc.start()
-    try:
-        classes = sum(len(c) for c in Torus(3).dual_chunks(120.0, 128.0))
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert classes == 1546352
-    assert peak < 3 * 2**20
+    # the T^3 annulus (120, 128] holds 1.5M classes; its ball would need a
+    # 257^2-label row per x1.  T^1 needs no prefix table: (2^22 - 64, 2^22]
+    # holds 128 classes, and a table of its ball would take 64 MB.
+    for n, lo, hi, expected in ((3, 120.0, 128.0, 1546352), (1, 2.0**22 - 64, 2.0**22, 128)):
+        tracemalloc.start()
+        try:
+            classes = sum(len(c) for c in Torus(n).dual_chunks(lo, hi))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert classes == expected
+        assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -286,6 +290,9 @@ _SHELL_GROUPS = {
     a=st.floats(0.0, 1.0),
     b=st.floats(0.0, 1.0),
 )
+# annuli whose one shell block holds no shell: r_2(3599) = 0 and r_3(7) = 0
+@example(name="T2", a=1.0, b=0.99999)
+@example(name="T3", a=math.sqrt(7.5) / 20.0, b=math.sqrt(8.5) / 20.0)
 def test_radial_shells_match_enumeration_on_random_annuli(name, a, b):
     g, top = _SHELL_GROUPS[name]
     lo, hi = sorted((a * top, b * top))
@@ -411,14 +418,16 @@ def test_r3_matches_the_shift_add_oracle_around_2_to_the_16():
 
 
 def _check_shell_partition(n, block, lo, hi):
-    # block j must hold exactly the shells with kmin + j*B <= k < kmin + (j+1)*B
+    # the blocks are the windows kmin + j*B <= k < kmin + (j+1)*B that hold
+    # a shell, in order, each with exactly the window's shells
     kmin, kend = math.floor(lo * lo), math.floor(hi * hi)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_SHELL_BLOCK", block)
         blocks = list(Torus(n).radial_shells(lo, hi))
-    assert len(blocks) == max(-(-(kend - kmin) // block), 0)
     oracle = (_oracle_r2 if n == 2 else _oracle_r3)(kmin, kend) if kend > kmin else np.zeros(0, dtype=np.int64)
-    for j, (weights, mult) in enumerate(blocks):
+    held = [j for j in range(max(-(-(kend - kmin) // block), 0)) if oracle[j * block : (j + 1) * block].any()]
+    assert len(blocks) == len(held)
+    for j, (weights, mult) in zip(held, blocks):
         assert weights.dtype == np.float64 and mult.dtype == np.int64
         k = np.rint(weights * weights).astype(np.int64) - 1
         assert np.array_equal(weights, np.sqrt((1 + k).astype(np.float64)))

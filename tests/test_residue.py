@@ -379,6 +379,17 @@ def test_overflowing_scaled_node_raises(t1, coeff, amplitude, overflows):
         wodzicki_residue(field, T1_SCHEDULE)
 
 
+def test_invariant_field_holds_one_symbol_object(t1):
+    # the residue of an invariant field reads node 0 alone, so nodes
+    # <xi>^-1 and 3 <xi>^-1 would give 2 with the flag and 4 without it
+    quad = t1.haar_quadrature(2)
+    one = weight_power_symbol(t1, 1.0, -1.0)
+    for nodes in ((one, weight_power_symbol(t1, 3.0, -1.0)), (one, weight_power_symbol(t1, 1.0, -1.0))):
+        with pytest.raises(InvalidArgumentError, match="one symbol object"):
+            SymbolField(quad, nodes, -1.0, invariant=True)
+    assert SymbolField(quad, (one, one), -1.0, invariant=True).invariant
+
+
 def test_scaled_field_validates_its_base(t1, su2):
     quad = t1.haar_quadrature(2)
     base = weight_power_symbol(t1, 1.0, -1.0)
