@@ -1,10 +1,12 @@
 """Config-driven command line front end.
 
-Subcommands ``weakl1``, ``zeta``, ``residue`` and ``sweep`` read a JSON run
-configuration, execute the corresponding computation and write a JSON
-report (plus a CSV series for sweeps).  Reports are byte-stable for a fixed
-configuration apart from the wall-clock field; floats are printed with 17
-significant digits so parsed values round-trip exactly.
+The task, ``weakl1``, ``zeta``, ``residue`` or ``sweep``, is the first
+argument; one flat parser takes it with ``--config``, ``--out`` and
+``--verbose``.  A task reads a JSON run configuration, executes the
+corresponding computation and writes a JSON report (plus a CSV series for
+sweeps).  Reports are byte-stable for a fixed configuration apart from the
+wall-clock field; floats are printed with 17 significant digits so parsed
+values round-trip exactly.
 
 The report is one document whose keys are added in the README's schema
 order, so it is written as built: ``config_echo``, ``task``, ``value``,
@@ -34,6 +36,7 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field as dc_field
+from json.encoder import encode_basestring_ascii  # what json.dumps writes for a str
 from typing import Callable, Optional
 
 import numpy as np
@@ -152,7 +155,7 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
     _require(task in TASKS, f"task must be one of {TASKS}, got {task!r}")
     if task_override is not None and task != task_override:
         raise ConfigError(
-            f"config task {task!r} conflicts with the {task_override!r} subcommand"
+            f"config task {task!r} conflicts with the {task_override!r} command"
         )
     group = _build_group(raw.get("group"))
     symbol_spec = raw.get("symbol")
@@ -231,37 +234,42 @@ def parse_config(raw: dict, task_override: Optional[str] = None) -> RunConfig:
 # JSON rendering with fixed float formatting
 
 
-def _render_float(x: float) -> str:
-    if math.isnan(x) or math.isinf(x):
-        return "null"
-    return format(float(x), ".17g")
+def render_json(obj) -> str:
+    """``obj`` as indented JSON: ``.17g`` floats, null for non-finite ones, keys in build order."""
+    out: list = []
+    _write_json(obj, "", out)
+    return "".join(out)
 
 
-def render_json(obj, indent: int = 0) -> str:
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if isinstance(obj, bool):
-        return "true" if obj else "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _render_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, (list, tuple)):
+def _write_json(obj, pad: str, out: list) -> None:
+    """Append the JSON text of ``obj``, nested at indent ``pad``, to ``out``."""
+    if isinstance(obj, (dict, list, tuple)):
+        is_dict = isinstance(obj, dict)
         if not obj:
-            return "[]"
-        inner = ",\n".join("  " * (indent + 1) + render_json(v, indent + 1) for v in obj)
-        return "[\n" + inner + "\n" + pad + "]"
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k, v in obj.items():
-            items.append("  " * (indent + 1) + json.dumps(str(k)) + ": " + render_json(v, indent + 1))
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    raise TypeError(f"cannot render {type(obj)!r}")
+            out.append("{}" if is_dict else "[]")
+            return
+        inner, sep = pad + "  ", "{\n" if is_dict else "[\n"
+        for item in obj.items() if is_dict else obj:
+            out.append(sep + inner)
+            if is_dict:
+                out.append(encode_basestring_ascii(str(item[0])) + ": ")
+                item = item[1]
+            _write_json(item, inner, out)
+            sep = ",\n"
+        out.append("\n" + pad + ("}" if is_dict else "]"))
+    elif obj is None:
+        out.append("null")
+    elif isinstance(obj, bool):
+        out.append("true" if obj else "false")
+    elif isinstance(obj, (int, np.integer)):
+        out.append(str(int(obj)))
+    elif isinstance(obj, (float, np.floating)):
+        x = float(obj)
+        out.append(format(x, ".17g") if math.isfinite(x) else "null")
+    elif isinstance(obj, str):
+        out.append(encode_basestring_ascii(obj))
+    else:
+        raise TypeError(f"cannot render {type(obj)!r}")
 
 
 def _complex_dict(z: complex) -> dict:
@@ -416,17 +424,16 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="ncres",
         description="Noncommutative residues on compact Lie groups from matrix symbols",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("residue", "residue of a symbol field via the four weak-l1 norms"),
-        ("weakl1", "weak-l1 slope of an invariant symbol"),
-        ("zeta", "zeta-trace residue of an invariant symbol"),
-        ("sweep", "convergence trace of the partial sums as CSV"),
-    ):
-        p = sub.add_parser(name, help=help_text)
-        p.add_argument("--config", required=True, help="path to the JSON run configuration")
-        p.add_argument("--out", help="report output path (overrides config)")
-        p.add_argument("--verbose", action="store_true")
+    parser.add_argument(
+        "command",
+        choices=TASKS,
+        help="weakl1: weak-l1 slope of an invariant symbol; zeta: zeta-trace residue of an invariant "
+        "symbol; residue: residue of a symbol field via the four weak-l1 norms; sweep: convergence "
+        "trace of the partial sums as CSV",
+    )
+    parser.add_argument("--config", required=True, help="path to the JSON run configuration")
+    parser.add_argument("--out", help="report output path (overrides config)")
+    parser.add_argument("--verbose", action="store_true")
     return parser
 
 

@@ -28,6 +28,13 @@ part, because a diagonal class's diagonal is its spectrum and a dense
 class's entries are its singular values, or the eigenvalues of Re sigma
 and Im sigma.  The reduction never looks at the structure tag.
 
+Spectra are float64 when a symbol's evaluator returns real values and
+complex128 otherwise (see ``symbols``), and a real spectrum stays real up
+to the class rows: ``abs`` takes |x|, ``four`` forms only R+ and R- and
+reduces each per class, its I+ and I- rows being zero, and ``signed``
+promotes to complex at the channel.  Each of these gives the bits that the
+same values as complex128 give, so the dtype never changes an answer.
+
 ``factor`` holds the caller's factor rows: ``annulus_sums`` takes a
 callable mapping a block's weights to k non-negative rows, one per weighting
 (the zeta trace passes w**(-s), and psi(w/N) * w**(-s) for its smoothed
@@ -63,22 +70,36 @@ _MODE_CHANNELS = {"abs": 1, "signed": 1, "four": 4}
 _MODE_DTYPE = {"abs": np.float64, "signed": np.complex128, "four": np.float64}
 
 
-def _channels(values: np.ndarray, mode: str) -> np.ndarray:
-    """The rows f(values) of complex values that ``mode`` sums, shape (channels, n).
+def _channels(values: np.ndarray, mode: str, starts=None) -> np.ndarray:
+    """The rows f(values) that ``mode`` sums, shape (channels, n).
 
-    ``four`` splits the real and imaginary parts into the rows (R+, R-, I+, I-).
+    With class ``starts`` each row is summed per class (``np.add.reduceat``),
+    one column per class.  ``four`` splits complex values into the rows
+    (R+, R-, I+, I-); real values give only R+ and R-, each reduced on its
+    own, and two zero rows.  ``signed`` promotes real values to complex here,
+    so its sums are the complex path's.
     """
+
+    def per_class(rows):
+        return rows if starts is None else np.add.reduceat(rows, starts, axis=-1)
+
     if mode == "abs":
-        return np.abs(values)[None]
+        return per_class(np.abs(values)[None])
     if mode == "signed":
-        return values[None]
+        return per_class(values.astype(np.complex128, copy=False)[None])
+    if values.dtype.kind == "f":
+        neg = np.minimum(values, 0.0)
+        out = np.zeros((4, len(values) if starts is None else len(starts)))
+        out[0] = per_class(np.maximum(values, 0.0))
+        out[1] = per_class(np.negative(neg, out=neg))
+        return out
     # the (Re, Im) rows as a strided view, not a copy, split into one array:
     # fresh block-sized temporaries cost page faults
     parts = np.ascontiguousarray(values).view(np.float64).reshape(-1, 2).T
     out = np.empty((2, 2, parts.shape[-1]))
     np.maximum(parts, 0.0, out=out[:, 0])
     np.negative(np.minimum(parts, 0.0, out=out[:, 1]), out=out[:, 1])
-    return out.reshape(4, -1)  # (Re, Im) x (+, -) -> (R+, R-, I+, I-)
+    return per_class(out.reshape(4, -1))  # (Re, Im) x (+, -) -> (R+, R-, I+, I-)
 
 
 def _reduce(rows: np.ndarray, mult, factor) -> np.ndarray:
@@ -104,8 +125,7 @@ def _block_terms(sym: MatrixSymbol, block, mode: str, factors) -> np.ndarray:
     else:
         weights, mult = block.weights, block.dims
         dims = mult.astype(np.int64)
-        entries = _channels(sym.chunk_spectra(block, mode), mode)
-        rows = np.add.reduceat(entries, np.cumsum(dims) - dims, axis=-1)  # one column per class
+        rows = _channels(sym.chunk_spectra(block, mode), mode, np.cumsum(dims) - dims)
     factor = None if factors is None else np.asarray(factors(weights), dtype=np.float64)
     part = _reduce(rows, mult, factor)
     if not np.all(np.isfinite(part)):

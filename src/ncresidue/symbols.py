@@ -13,10 +13,10 @@ computed on demand.  Evaluators must be pure, which keeps every reduction
 over the dual reproducible.
 
 Every symbol meets one spectral-diagonal contract,
-``MatrixSymbol.chunk_spectra(chunk, mode)``: one flat complex vector in
-chunk order, d entries per class, whose per-class sums a dual reduction
-needs for the mode.  A scalar or diagonal class gives its diagonal in
-every mode.  A dense class is evaluated as a matrix and gives its diagonal
+``MatrixSymbol.chunk_spectra(chunk, mode)``: one flat vector in chunk
+order, d entries per class, whose per-class sums a dual reduction needs
+for the mode.  A scalar or diagonal class gives its diagonal in every
+mode.  A dense class is evaluated as a matrix and gives its diagonal
 (``signed``), its singular values (``abs``), or the eigenvalues of Re sigma
 and Im sigma as the real and imaginary parts (``four``); spectral values
 within ZERO_EIGENVALUE_FACTOR * ||.||_F of zero are zeroed.  A dense class
@@ -42,6 +42,13 @@ constructor, which keeps the scalar or diagonal structure when every term
 has it.
 ``MatrixSymbol.diagonal`` evaluates the one-class chunk of a class, and
 ``evaluate`` is its diagonal matrix.
+
+The dtype rule: the radial profile and the chunk diagonals are float64 when
+the evaluator returns real values (bool, integer or float kinds; so
+``diag_signed_symbol`` and a ``weight_power_symbol`` whose coefficient has
+imaginary part 0.0), and complex128 otherwise.  A dual sum then keeps real
+spectra real (see ``dualsum``).  Dense spectra, ``MatrixSymbol.diagonal``
+and ``evaluate`` are always complex128.
 
 An x-dependent homogeneous component is represented by a ``SymbolField``:
 one frozen symbol per Haar quadrature node.  ``Expansion`` stacks such
@@ -115,7 +122,7 @@ class MatrixSymbol:
         if self.diag_fn is None:
             raise InvalidArgumentError("symbol has no diagonal fast path")
         entries = int(chunk.dims.sum())
-        vec = np.asarray(self.diag_fn(chunk), dtype=np.complex128)
+        vec = _spectrum_values(self.diag_fn(chunk))
         if vec.shape != (entries,):
             raise InvalidArgumentError(
                 f"diagonal evaluator returned shape {vec.shape} for {entries} entries"
@@ -123,13 +130,14 @@ class MatrixSymbol:
         return vec
 
     def chunk_spectra(self, chunk: DualChunk, mode: str) -> np.ndarray:
-        """The chunk's spectral diagonals for a reduction ``mode``, one flat complex vector.
+        """The chunk's spectral diagonals for a reduction ``mode``, one flat vector.
 
         In chunk order, d entries per class: the diagonal of a scalar or
         diagonal class; for a dense class its diagonal (``signed``), its
         singular values (``abs``), or the eigenvalues of Re sigma as real
         parts and those of Im sigma as imaginary parts (``four``), solved
-        with numpy's OpenBLAS on one thread.
+        with numpy's OpenBLAS on one thread.  Dense spectra are complex128;
+        scalar and diagonal ones keep the dtype of ``chunk_diagonals``.
         """
         if mode not in ("abs", "signed", "four"):
             raise InvalidArgumentError(f"unknown reduction mode {mode!r}")
@@ -140,13 +148,19 @@ class MatrixSymbol:
         return np.concatenate(parts).astype(np.complex128, copy=False)
 
     def diagonal(self, xi: DualElement) -> np.ndarray:
-        """Diagonal vector of one class, from its one-class chunk."""
-        return self.chunk_diagonals(DualChunk.of(self.group, xi))
+        """Complex diagonal vector of one class, from its one-class chunk."""
+        return self.chunk_diagonals(DualChunk.of(self.group, xi)).astype(np.complex128, copy=False)
 
     def radial_profile(self, weights: np.ndarray) -> np.ndarray:
         if self.radial_fn is None:
             raise InvalidArgumentError("symbol has no radial profile")
-        return np.asarray(self.radial_fn(np.asarray(weights, dtype=np.float64)), dtype=np.complex128)
+        return _spectrum_values(self.radial_fn(np.asarray(weights, dtype=np.float64)))
+
+
+def _spectrum_values(values) -> np.ndarray:
+    """Evaluator output as float64 if it is real (bool, integer or float), else as complex128."""
+    values = np.asarray(values)
+    return values.astype(np.float64 if values.dtype.kind in "biuf" else np.complex128, copy=False)
 
 
 def _dense_spectrum(mat: np.ndarray, mode: str) -> np.ndarray:
@@ -215,8 +229,15 @@ def scalar_symbol(
 
 
 def weight_power_symbol(group: GroupModel, coeff: complex, alpha: float) -> MatrixSymbol:
-    """sigma(xi) = coeff * <xi>**alpha * I, the basic invariant test family."""
+    """sigma(xi) = coeff * <xi>**alpha * I, the basic invariant test family.
+
+    A coefficient with imaginary part 0.0 is kept real, so the profile is
+    float64; its values are the real parts of the complex profile's, bit
+    for bit.
+    """
     coeff = complex(coeff)
+    if coeff.imag == 0.0:
+        coeff = coeff.real
 
     def profile(w: np.ndarray) -> np.ndarray:
         return coeff * w**alpha
@@ -239,7 +260,7 @@ def diagonal_symbol(
     def diag_fn(chunk: DualChunk) -> np.ndarray:
         parts = []
         for xi in chunk.elements():
-            vec = np.asarray(diag(xi), dtype=np.complex128)
+            vec = _spectrum_values(diag(xi))
             if vec.shape != (xi.dim,):
                 raise InvalidArgumentError(
                     f"diagonal evaluator returned shape {vec.shape} at {xi.label} of dimension {xi.dim}"
@@ -259,9 +280,8 @@ def diag_signed_symbol(group: GroupModel, alpha: float) -> MatrixSymbol:
         # entry j of a class at chunk offset o sits at position o + j, so its
         # sign (-1)**j alternates over the chunk, flipped where o is odd
         start_signs = 1.0 - 2.0 * ((np.cumsum(dims) - dims) & 1)
-        out = np.zeros(int(dims.sum()), dtype=np.complex128)
-        out.real = np.repeat(chunk.weights**alpha * start_signs, dims)
-        out.real[1::2] *= -1.0
+        out = np.repeat(chunk.weights**alpha * start_signs, dims)
+        out[1::2] *= -1.0
         return out
 
     return MatrixSymbol(group, "diagonal", DecayEnvelope(1.0, alpha), None, diag_fn=diag_fn)

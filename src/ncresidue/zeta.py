@@ -197,7 +197,8 @@ def _radial_tails(sym: MatrixSymbol, s: list, cut: float) -> list:
     fine_w, fine_q = _tail_rule(group, s, cut, _STEP_NODES[1], _PANEL_NODES[1])
     # the last panel's ends; the second is W
     far_w = cut * np.exp(_LOG_SPAN * np.array([1.0 - 1.0 / _LOG_PANELS, 1.0]))
-    p = sym.radial_profile(np.concatenate((coarse_w, fine_w, far_w)))
+    # complex even for a real profile: a real dot product rounds otherwise
+    p = sym.radial_profile(np.concatenate((coarse_w, fine_w, far_w))).astype(np.complex128)
     amplitude = p[-2:] * far_w**group.dim
     out = []
     for v, cq, fq in zip(s, coarse_q, fine_q):

@@ -554,13 +554,16 @@ def test_env_var_threads(monkeypatch):
 
 
 def test_threads_flag_is_a_usage_error(tmp_path):
+    # an unknown task is a usage error too
     cfg = _write_config(tmp_path, "cfg.json", SU2_WEAKL1)
-    assert cli.main(["weakl1", "--config", cfg, "--threads", "2"]) == 64
+    for argv in (["weakl1", "--config", cfg, "--threads", "2"], ["bogus", "--config", cfg]):
+        assert cli.main(argv) == 64
 
 
 def test_help_exits_zero(capsys):
-    assert cli.main(["--help"]) == 0
-    assert "usage: ncres" in capsys.readouterr().out
+    for argv in (["--help"], ["residue", "--help"]):
+        assert cli.main(argv) == 0
+        assert "usage: ncres" in capsys.readouterr().out
 
 
 _RESULT_KEYS = ["config_echo", "task", "value", "error_bar"]

@@ -112,6 +112,49 @@ def test_structure_tag_does_not_change_annulus_sums(group, mode, s, modulus, pha
 
 
 # ---------------------------------------------------------------------------
+# the dtype of a symbol's values never changes an answer
+
+
+def _real_and_complex(group, alpha):
+    """Pairs (real-valued symbol, the same symbol with a complex128 evaluator)."""
+    env = DecayEnvelope(1.25, alpha)
+    signed = diag_signed_symbol(group, alpha)
+
+    def per_class(xi):
+        return -1.25 * xi.weight**alpha * np.where(np.arange(xi.dim) % 3 == 0, 1.0, -1.0)
+
+    return {
+        "diag_signed": (
+            signed,
+            MatrixSymbol(group, "diagonal", env, None, diag_fn=lambda c: signed.diag_fn(c).astype(np.complex128)),
+        ),
+        "weight_power": (
+            weight_power_symbol(group, -1.25, alpha),
+            scalar_symbol(group, lambda w: complex(-1.25) * w**alpha, env, check=False),
+        ),
+        "per-class": (
+            diagonal_symbol(group, per_class, env, check=False),
+            diagonal_symbol(group, lambda xi: per_class(xi).astype(np.complex128), env, check=False),
+        ),
+    }
+
+
+@pytest.mark.parametrize("group", sorted(_GROUPS))
+@pytest.mark.parametrize("mode", ["abs", "signed", "four"])
+@pytest.mark.parametrize("s", [0.0, [1.6, 0.8, 0.4]], ids=["no-factors", "factor-rows"])
+def test_real_values_sum_bitwise_as_complex(group, mode, s):
+    grp, schedule = _GROUPS[group]
+    for name, (real, cplx) in _real_and_complex(grp, -float(grp.dim)).items():
+        chunk = next(grp.dual_chunks(0.0, schedule[-1]))
+        assert real.chunk_diagonals(chunk).dtype == np.float64, name
+        assert cplx.chunk_diagonals(chunk).dtype == np.complex128, name
+        ref = dualsum.annulus_sums(cplx, schedule, mode, _powers(s))
+        got = dualsum.annulus_sums(real, schedule, mode, _powers(s))
+        assert np.max(np.abs(ref)) > 0.0, name
+        assert got.dtype == ref.dtype and got.tobytes() == ref.tobytes(), name
+
+
+# ---------------------------------------------------------------------------
 # dense SU(2) to N = 256 against the diagonal path on the same spectra
 
 _DENSE_SCHEDULE = geometric_schedule(4.0, 2.0, 7)  # 4 .. 256

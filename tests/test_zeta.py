@@ -323,6 +323,18 @@ def test_structure_tag_does_not_change_the_zeta_residue(su2):
     assert abs(zb.value - c) <= zb.error_bar <= 1e-3 * abs(c)
 
 
+@pytest.mark.parametrize("group", [Torus(1), Torus(2), Torus(3), SU2()], ids=str)
+def test_real_profile_gives_the_zeta_residue_of_its_complex_form(group):
+    # the radial tail is integrated in complex arithmetic for a real profile
+    # too, so the dtype of the profile never changes a bit of the result
+    alpha = -float(group.dim)
+    real = weight_power_symbol(group, -0.7, alpha)
+    cplx = scalar_symbol(group, lambda w: complex(-0.7) * w**alpha, DecayEnvelope(0.7, alpha), check=False)
+    assert real.radial_profile(np.ones(1)).dtype == np.float64
+    a, b = zeta_residue(real), zeta_residue(cplx)
+    assert (a.value, a.error_bar, a.flags) == (b.value, b.error_bar, b.flags)
+
+
 def _pattern_diagonal():
     """The su2-dense benchmark pattern in diagonal form: same spectra, Tr bounded per level."""
     def diag(xi):
